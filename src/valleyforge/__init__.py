@@ -2,7 +2,7 @@
 
 Four independent counting routes for the class: exhaustive ECO generation,
 succession-rule label dynamics, exact generating-function expansion, and a
-brute-force backtracking oracle, plus the Catalan-number identities that
+prefix-state counting oracle, plus the Catalan-number identities that
 fall out of the generating function.
 """
 

@@ -17,40 +17,15 @@ from . import __version__, eco, identity, oracle, series
 from .errors import ValleyforgeError
 from .paths import EMPTY_PATH, ClassParams, height
 
-CACHE_ENV = "VALLEYFORGE_CACHE"
-
-
-# ---------------------------------------------------------------------------
-# results cache
-
-
-def _cache_path(args) -> str | None:
-    return args.cache or os.environ.get(CACHE_ENV)
-
-
-def _cache_load(path: str | None) -> dict[str, str]:
-    if not path or not os.path.exists(path):
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if data.get("version") != __version__:
-        return {}
-    entries = data.get("entries", {})
-    return entries if isinstance(entries, dict) else {}
-
-
-def _cache_save(path: str | None, entries: dict[str, str]) -> None:
-    if not path:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": __version__, "entries": entries}, fh)
-
 
 # ---------------------------------------------------------------------------
 # counting routes
+
+
+def _check_cap(n: int, cap: int) -> None:
+    """Refuse a semilength above --cap before any route lists paths."""
+    if n > cap:
+        raise ValleyforgeError(f"n={n} exceeds the cap {cap}")
 
 
 def _count_by_method(method: str, params: ClassParams, n: int, cap: int) -> int:
@@ -100,6 +75,8 @@ def _verify_cell(job: tuple[int, int, int, int]) -> list[tuple[int, int, int, in
 
 def _cmd_count(args) -> int:
     params = ClassParams(args.h, args.k)
+    if args.method == "eco" or args.cross_check:
+        _check_cap(args.n, args.cap)
     value = _count_by_method(args.method, params, args.n, args.cap)
     if args.cross_check:
         others = {
@@ -122,8 +99,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_generate(args) -> int:
     params = ClassParams(args.h, args.k)
-    if args.n > args.cap:
-        raise ValleyforgeError(f"n={args.n} exceeds the cap {args.cap}")
+    _check_cap(args.n, args.cap)
     paths = eco.generate(params, args.n)
     if args.format == "json":
         out = [
@@ -207,9 +183,6 @@ def _cmd_verify(args) -> int:
     if args.n_max > args.cap:
         raise ValleyforgeError(f"n-max={args.n_max} exceeds the cap {args.cap}")
 
-    cache_file = _cache_path(args)
-    cache = _cache_load(cache_file)
-
     jobs = [(h, k, args.n_max, args.cap) for h, k in cells]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -221,16 +194,11 @@ def _cmd_verify(args) -> int:
     ok_all = True
     for (h, k), cell_rows in zip(cells, results):
         for n, (ec, rc, sc, bc) in enumerate(cell_rows):
-            cached = cache.get(f"{h}:{k}:{n}")
-            if cached is not None and int(cached) != bc:
-                ok_all = False
-            cache[f"{h}:{k}:{n}"] = str(bc)
             ok = ec == rc == sc == bc
             if not ok:
                 ok_all = False
                 print(f"MISMATCH h={h} k={k} n={n}: eco={ec} rule={rc} series={sc} brute={bc}", file=sys.stderr)
             rows.append((h, k, n, ec, rc, sc, bc, ok))
-    _cache_save(cache_file, cache)
 
     if args.format == "json":
         print(json.dumps([
@@ -255,9 +223,8 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    common.add_argument("--cache", default=None, help=f"cache file (or ${CACHE_ENV})")
     common.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                        help="brute-force semilength cap")
+                        help="semilength cap for the brute and eco routes")
 
     parser = argparse.ArgumentParser(prog="valleyforge",
                                      description="Counting and cross-verification of "

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyPath, NotInClass, UnsupportedParams
+from .errors import EmptyPath, NotInClass
 from .paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class
 
 
@@ -53,14 +53,6 @@ class LabelVector:
         return sum(self.counts.values())
 
 
-def _require_supported(params: ClassParams) -> None:
-    if not params.eco_supported:
-        raise UnsupportedParams(
-            f"(h={params.h}, k={params.k}) is outside the supported range: "
-            "need k=2 with h>=3, or k>=3 with h>=4"
-        )
-
-
 def _initial_up_run(path: DyckPath) -> int:
     t = 0
     for ch in path.word:
@@ -89,7 +81,7 @@ def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
     except that l = k-2 (the saturated case, the only one possible when
     k = 2) gives (h-1).
     """
-    _require_supported(params)
+    params.require_eco_supported()
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
     if path.semilength == 0:
@@ -120,7 +112,7 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     increasing ordinate of the insertion point, so the list order is
     deterministic.  The list length always equals the label's child count.
     """
-    _require_supported(params)
+    params.require_eco_supported()
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
     t = _initial_up_run(path)
@@ -137,7 +129,7 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
 
 def generate(params: ClassParams, n: int) -> list[DyckPath]:
     """All class paths of semilength n, each exactly once, sorted by word."""
-    _require_supported(params)
+    params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
     level = [EMPTY_PATH]
@@ -190,7 +182,7 @@ def rule_counts(params: ClassParams, n: int) -> LabelVector:
     Starts from one copy of the axiom (1); the total equals the number of
     class paths of semilength n.
     """
-    _require_supported(params)
+    params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
     counts: Counter[EcoLabel] = Counter({EcoLabel.num(1): 1})

@@ -17,12 +17,6 @@ from .errors import DomainViolation
 from .paths import catalan
 
 
-def _binom(a: int, b: int) -> int:
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 @dataclass
 class IdentityReport:
     """Outcome of an identity check over a range of n."""
@@ -63,7 +57,7 @@ def lhs_coefficient_relation(h: int, k: int, n: int, D: Sequence[int]) -> int:
     for j in range((h + 1) // 2 + 1):
         if n - j < 0:
             continue
-        total += D[n - j] * (-1) ** (base - j) * _binom(h + 1 - j, j)
+        total += D[n - j] * (-1) ** (base - j) * comb(h + 1 - j, j)
     return total
 
 
@@ -74,7 +68,7 @@ def rhs_coefficient_relation(h: int, n: int) -> int:
     base = (h + 1) // 2
     total = 0
     for t in range(n // h, min(n, h - n + 1) + 1):
-        total += (-1) ** (base - t) * _binom(h - n + 1, t)
+        total += (-1) ** (base - t) * comb(h - n + 1, t)
     return total
 
 
@@ -106,7 +100,7 @@ def catalan_recurrence_check(h: int, n: int) -> tuple[int, int]:
         raise DomainViolation(f"need {lo} <= n < {h}, got n={n}")
     value = 0
     for j in range(1, (h + 1) // 2 + 1):
-        value += (-1) ** (j + 1) * _binom(h + 1 - j, j) * catalan(n - j)
+        value += (-1) ** (j + 1) * comb(h + 1 - j, j) * catalan(n - j)
     return catalan(n), value
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BadSymbol, NegativePrefix, UnbalancedWord
+from .errors import BadSymbol, NegativePrefix, UnbalancedWord, UnsupportedParams
 
 
 @dataclass(frozen=True, order=False)
@@ -67,6 +67,14 @@ class ClassParams:
     def eco_supported(self) -> bool:
         """True iff the ECO operator / succession rule applies to (h, k)."""
         return (self.k == 2 and self.h >= 3) or (self.k >= 3 and self.h >= 4)
+
+    def require_eco_supported(self) -> None:
+        """Raise UnsupportedParams unless the ECO routes and series apply."""
+        if not self.eco_supported:
+            raise UnsupportedParams(
+                f"(h={self.h}, k={self.k}) is outside the supported range: "
+                "need k=2 with h>=3, or k>=3 with h>=4"
+            )
 
 
 def parse_path(word: str) -> DyckPath:

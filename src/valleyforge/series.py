@@ -13,15 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import UnsupportedParams
 from .paths import ClassParams
-
-
-def _binom(a: int, b: int) -> int:
-    """Binomial coefficient, 0 outside the classical triangle."""
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 class IntPolynomial:
@@ -193,23 +185,15 @@ def build_S(h: int, k: int) -> IntPolynomial:
     terms: dict[int, int] = {}
     base = comb(h + 1, 2)
     for j in range(h // 2 + 1 + (h % 2)):  # j = 0 .. floor((h+1)/2)
-        terms[j] = terms.get(j, 0) + (-1) ** (base - j) * _binom(h - j + 1, j)
+        terms[j] = terms.get(j, 0) + (-1) ** (base - j) * comb(h - j + 1, j)
     for j in range(1, h // 2 + 1):
-        terms[k + j] = terms.get(k + j, 0) + (-1) ** (base - j + 1) * _binom(
+        terms[k + j] = terms.get(k + j, 0) + (-1) ** (base - j + 1) * comb(
             h - j - 1, j - 1
         )
     out = [0] * (max(terms) + 1)
     for power, c in terms.items():
         out[power] = c
     return IntPolynomial(out)
-
-
-def _require_supported(params: ClassParams) -> None:
-    if not params.eco_supported:
-        raise UnsupportedParams(
-            f"(h={params.h}, k={params.k}) is outside the supported range: "
-            "need k=2 with h>=3, or k>=3 with h>=4"
-        )
 
 
 def build_system(params: ClassParams) -> PolySystem:
@@ -221,7 +205,7 @@ def build_system(params: ClassParams) -> PolySystem:
     is x F_{h-1} + (-1 + x + x^2 (1 + x + ... + x^{k-3})) F_h = 0.
     At x = 0 the matrix is upper triangular with diagonal (1, -1, ..., -1).
     """
-    _require_supported(params)
+    params.require_eco_supported()
     h, k = params.h, params.k
     zero = IntPolynomial.zero()
     x = IntPolynomial.monomial(1)
@@ -306,7 +290,7 @@ def closed_form_F(params: ClassParams, i: int, order: int) -> TruncatedSeries:
     (-1)^binom((h mod 2) + i + 3, 2).  The denominator has constant term
     +-1, so exact long division yields integer coefficients.
     """
-    _require_supported(params)
+    params.require_eco_supported()
     if not 1 <= i <= params.h:
         raise ValueError(f"i must be in 1..{params.h}")
     h, k = params.h, params.k

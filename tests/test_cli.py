@@ -31,6 +31,17 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--h", "4", "--k", "3", "--n", "20", "--method", "brute")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "--method", "eco"),
+        ("count", "--method", "rule", "--cross-check"),
+        ("generate",),
+    ])
+    def test_listing_routes_respect_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--h", "7", "--k", "5", "--n", "15", "--cap", "14")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_cross_check(self, capsys):
         code, out, _ = run(capsys, "count", "--h", "4", "--k", "3", "--n", "6",
                            "--method", "series", "--cross-check")
@@ -130,35 +141,6 @@ class TestVerify:
         expected = ["1", "1", "2", "5", "14"]
         for row, want in zip(rows, expected):
             assert row["eco"] == row["rule"] == row["series"] == row["brute"] == want
-
-    def test_cache_round_trip(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        args = ("verify", "--h", "4..4", "--k", "3..3", "--n-max", "5",
-                "--jobs", "1", "--cache", str(cache))
-        code1, out1, _ = run(capsys, *args)
-        assert code1 == 0
-        assert cache.exists()
-        data = json.loads(cache.read_text())
-        assert data["entries"]["4:3:5"] == "41"
-        code2, out2, _ = run(capsys, *args)
-        assert code2 == 0
-        assert out1 == out2  # warm cache output is byte-identical
-
-    def test_stale_version_cache_ignored(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps({"version": "0.0.0", "entries": {"4:3:5": "999"}}))
-        code, _, _ = run(capsys, "verify", "--h", "4..4", "--k", "3..3",
-                         "--n-max", "5", "--jobs", "1", "--cache", str(cache))
-        assert code == 0
-        assert json.loads(cache.read_text())["entries"]["4:3:5"] == "41"
-
-    def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "envcache.json"
-        monkeypatch.setenv("VALLEYFORGE_CACHE", str(cache))
-        code, _, _ = run(capsys, "verify", "--h", "4..4", "--k", "3..3",
-                         "--n-max", "4", "--jobs", "1")
-        assert code == 0
-        assert cache.exists()
 
 
 class TestDeterminism:

@@ -1,10 +1,10 @@
 import pytest
 
-from valleyforge import _purecount
-from valleyforge._kernels import restricted_counts
+from valleyforge.eco import rule_counts
 from valleyforge.errors import CapExceeded
 from valleyforge.oracle import brute_count, brute_counts_upto, enumerate_dyck
 from valleyforge.paths import ClassParams, catalan, is_in_class
+from valleyforge.series import f_series
 
 
 class TestEnumerate:
@@ -32,11 +32,22 @@ class TestBruteCount:
         assert brute_count(ClassParams(4, 3), n) == expected
 
     def test_matches_filtered_enumeration(self):
-        for h, k in [(1, 2), (2, 3), (3, 2), (4, 3), (5, 4), (3, 5)]:
-            params = ClassParams(h, k)
-            for n in range(9):
-                expected = sum(is_in_class(p, params) for p in enumerate_dyck(n))
-                assert brute_count(params, n) == expected, (h, k, n)
+        levels = [enumerate_dyck(n) for n in range(10)]
+        for h in range(1, 7):
+            for k in range(2, 6):
+                params = ClassParams(h, k)
+                expected = [sum(is_in_class(p, params) for p in level) for level in levels]
+                assert brute_counts_upto(params, 9) == expected, (h, k)
+
+    def test_agrees_with_rule_and_series_to_order_500(self):
+        order = 500
+        for h in range(4, 8):
+            for k in range(3, 6):
+                params = ClassParams(h, k)
+                counts = brute_counts_upto(params, order, cap=order)
+                assert counts == list(f_series(params, order).coeffs), (h, k)
+                for n in (13, 100, order):
+                    assert counts[n] == rule_counts(params, n).total(), (h, k, n)
 
     def test_upto_consistent(self):
         params = ClassParams(5, 3)
@@ -60,15 +71,3 @@ class TestBruteCount:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             brute_count(ClassParams(4, 3), 15)
-
-
-class TestKernelParity:
-    """The compiled and pure kernels must agree exactly."""
-
-    def test_same_counts(self):
-        for h in range(1, 7):
-            for k in range(2, 6):
-                assert restricted_counts(h, k, 9) == _purecount.restricted_counts(h, k, 9)
-
-    def test_single_count(self):
-        assert _purecount.restricted_count(4, 3, 6) == 121
