@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, eco, identity, oracle, series
 from .errors import ValleyforgeError
-from .paths import EMPTY_PATH, ClassParams, height
+from .paths import ClassParams, height
 
 
 # ---------------------------------------------------------------------------
@@ -28,16 +28,21 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValleyforgeError(f"n={n} exceeds the cap {cap}")
 
 
-def _count_by_method(method: str, params: ClassParams, n: int, cap: int) -> int:
-    if method == "brute":
-        return oracle.brute_count(params, n, cap=cap)
-    if method == "eco":
-        return len(eco.generate(params, n))
-    if method == "rule":
-        return eco.rule_counts(params, n).total()
-    if method == "series":
-        return series.f_series(params, n).coefficient(n)
-    raise ValueError(f"unknown method {method!r}")
+def _eco_counts(params: ClassParams, nmax: int, cap: int) -> list[int]:
+    """ECO route: it lists every path, so the cap applies as for the oracle."""
+    _check_cap(nmax, cap)
+    return [len(level) for level in eco.levels(params, nmax)]
+
+
+# Route name -> (params, nmax, cap) -> class counts for n = 0..nmax, each in
+# one sweep; the order is verify's column order.  Every route raises
+# ValueError for a negative nmax.
+ROUTES = {
+    "eco": _eco_counts,
+    "rule": lambda params, nmax, cap: eco.rule_totals_upto(params, nmax),
+    "series": lambda params, nmax, cap: series.f_series(params, nmax).coeffs,
+    "brute": lambda params, nmax, cap: oracle.brute_counts_upto(params, nmax, cap=cap),
+}
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -52,21 +57,35 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _verify_cell(job: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
-    """All four route counts for one (h, k) cell, for n = 0..nmax."""
+def _verify_cell(job: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
+    """The counts of every route, in ROUTES order, for one (h, k) cell and n = 0..nmax."""
     h, k, nmax, cap = job
     params = ClassParams(h, k)
-    brute = oracle.brute_counts_upto(params, nmax, cap=cap)
-    fs = series.f_series(params, nmax)
-    rows = []
-    level = [EMPTY_PATH]
-    for n in range(nmax + 1):
-        eco_count = len(level)
-        rule_total = eco.rule_counts(params, n).total()
-        rows.append((eco_count, rule_total, fs.coefficient(n), brute[n]))
-        if n < nmax:
-            level = [c for p in level for c in eco.children(p, params)]
-    return rows
+    return list(zip(*(route(params, nmax, cap) for route in ROUTES.values())))
+
+
+def _emit(fmt: str, items, record, line) -> None:
+    """Print items in the requested form, computing only that form.
+
+    plain: ``line(item)`` per item; json: one array of ``record(item)``
+    dicts; csv: a header row of the record keys, then one row per item.
+    """
+    if fmt == "json":
+        print(json.dumps([record(item) for item in items]))
+    elif fmt == "csv":
+        w = csv.writer(sys.stdout)
+        for i, item in enumerate(items):
+            row = record(item)
+            if i == 0:
+                w.writerow(row)
+            w.writerow(row.values())
+    else:
+        for item in items:
+            print(line(item))
+
+
+def _route_columns(counts) -> str:
+    return " ".join(f"{name}={c}" for name, c in zip(ROUTES, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -75,70 +94,47 @@ def _verify_cell(job: tuple[int, int, int, int]) -> list[tuple[int, int, int, in
 
 def _cmd_count(args) -> int:
     params = ClassParams(args.h, args.k)
-    if args.method == "eco" or args.cross_check:
-        _check_cap(args.n, args.cap)
-    value = _count_by_method(args.method, params, args.n, args.cap)
-    if args.cross_check:
-        others = {
-            m: _count_by_method(m, params, args.n, args.cap)
-            for m in ("brute", "eco", "rule", "series")
-        }
-        if len(set(others.values())) != 1:
-            print(f"disagreement at h={args.h} k={args.k} n={args.n}: {others}", file=sys.stderr)
-            return 1
+    methods = ROUTES if args.cross_check else [args.method]
+    counts = {m: ROUTES[m](params, args.n, args.cap)[args.n] for m in methods}
+    if len(set(counts.values())) != 1:
+        print(f"disagreement at h={args.h} k={args.k} n={args.n}: {counts}", file=sys.stderr)
+        return 1
+    value = counts[args.method]
+    record = {"h": args.h, "k": args.k, "n": args.n, "method": args.method, "count": str(value)}
     if args.format == "json":
-        print(json.dumps({"h": args.h, "k": args.k, "n": args.n, "method": args.method, "count": str(value)}))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["h", "k", "n", "method", "count"])
-        w.writerow([args.h, args.k, args.n, args.method, value])
+        print(json.dumps(record))
     else:
-        print(value)
+        _emit(args.format, [value], lambda _: record, str)
     return 0
 
 
 def _cmd_generate(args) -> int:
     params = ClassParams(args.h, args.k)
     _check_cap(args.n, args.cap)
-    paths = eco.generate(params, args.n)
-    if args.format == "json":
-        out = [
-            {"word": p.word, "height": height(p), "label": str(eco.label_of(p, params))}
-            for p in paths
-        ]
-        print(json.dumps(out))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["word", "height", "label"])
-        for p in paths:
-            w.writerow([p.word, height(p), str(eco.label_of(p, params))])
-    else:
-        for p in paths:
-            print(p.word)
+    _emit(args.format, eco.generate(params, args.n),
+          lambda p: {"word": p.word, "height": height(p), "label": str(eco.label_of(p, params))},
+          lambda p: p.word)
     return 0
 
 
 def _cmd_series(args) -> int:
     params = ClassParams(args.h, args.k)
-    fs = series.f_series(params, args.order)
+    F = series.solve_series(params, args.order)
+    fs = series.counting_series(params, F)
     if args.format == "json":
         out: dict[str, object] = {"h": args.h, "k": args.k, "coefficients": fs.to_json()}
         if args.show_components:
-            F = series.solve_series(params, args.order)
             out["components"] = [s.to_json() for s in F]
             out["denominator"] = series.build_S(args.h, args.k).to_json()
         print(json.dumps(out))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["n", "coefficient"])
-        for n, c in enumerate(fs.coeffs):
-            w.writerow([n, c])
-    else:
+    elif args.format == "plain":
         print(" ".join(str(c) for c in fs.coeffs))
         if args.show_components:
             print(f"S({args.h},{args.k}) = {series.build_S(args.h, args.k).to_json()}")
-            for i, s in enumerate(series.solve_series(params, args.order), start=1):
+            for i, s in enumerate(F, start=1):
                 print(f"F_{i} = {s.to_json()}")
+    else:
+        _emit(args.format, enumerate(fs.coeffs), lambda nc: {"n": nc[0], "coefficient": nc[1]}, None)
     return 0
 
 
@@ -146,74 +142,46 @@ def _cmd_identity(args) -> int:
     if not 4 <= args.h_min <= args.h_max:
         raise ValleyforgeError("need 4 <= h-min <= h-max")
     records = []
-    all_pass = True
     for h in range(args.h_min, args.h_max + 1):
-        lo = (h + 2) // 2
-        for n in range(lo, h):
+        for n in range((h + 2) // 2, h):
             expected, value = identity.catalan_recurrence_check(h, n)
-            ok = expected == value
-            all_pass &= ok
-            records.append((h, n, expected, value, ok))
-    if args.format == "json":
-        print(json.dumps([
-            {"h": h, "n": n, "expected": str(e), "recurrence": str(v), "passed": ok}
-            for h, n, e, v, ok in records
-        ]))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["h", "n", "expected", "recurrence", "passed"])
-        for h, n, e, v, ok in records:
-            w.writerow([h, n, e, v, ok])
-    else:
-        for h, n, e, v, ok in records:
-            print(f"h={h} n={n} expected={e} recurrence={v} {'ok' if ok else 'FAIL'}")
-    return 0 if all_pass else 1
+            records.append((h, n, expected, value, expected == value))
+    _emit(args.format, records,
+          lambda r: {"h": r[0], "n": r[1], "expected": str(r[2]), "recurrence": str(r[3]), "passed": r[4]},
+          lambda r: f"h={r[0]} n={r[1]} expected={r[2]} recurrence={r[3]} {'ok' if r[4] else 'FAIL'}")
+    return 0 if all(r[4] for r in records) else 1
 
 
 def _cmd_verify(args) -> int:
     h_lo, h_hi = _parse_range(args.h)
     k_lo, k_hi = _parse_range(args.k)
-    cells = []
-    for h in range(h_lo, h_hi + 1):
-        for k in range(k_lo, k_hi + 1):
-            params = ClassParams(h, k)
-            if not params.eco_supported:
-                raise ValleyforgeError(f"(h={h}, k={k}) not supported by the ECO routes")
-            cells.append((h, k))
-    if args.n_max > args.cap:
-        raise ValleyforgeError(f"n-max={args.n_max} exceeds the cap {args.cap}")
+    cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
+    for h, k in cells:
+        ClassParams(h, k).require_eco_supported()
+    _check_cap(args.n_max, args.cap)
 
     jobs = [(h, k, args.n_max, args.cap) for h, k in cells]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # Each worker is a process of its own, all started at once: never more
+    # than there are cells or CPUs.
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_cell, jobs))
     else:
         results = [_verify_cell(job) for job in jobs]
 
     rows = []
-    ok_all = True
     for (h, k), cell_rows in zip(cells, results):
-        for n, (ec, rc, sc, bc) in enumerate(cell_rows):
-            ok = ec == rc == sc == bc
+        for n, counts in enumerate(cell_rows):
+            ok = len(set(counts)) == 1
             if not ok:
-                ok_all = False
-                print(f"MISMATCH h={h} k={k} n={n}: eco={ec} rule={rc} series={sc} brute={bc}", file=sys.stderr)
-            rows.append((h, k, n, ec, rc, sc, bc, ok))
-
-    if args.format == "json":
-        print(json.dumps([
-            {"h": h, "k": k, "n": n, "eco": str(a), "rule": str(b), "series": str(c), "brute": str(d), "agree": ok}
-            for h, k, n, a, b, c, d, ok in rows
-        ]))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["h", "k", "n", "eco", "rule", "series", "brute", "agree"])
-        for row in rows:
-            w.writerow(list(row))
-    else:
-        for h, k, n, a, b, c, d, ok in rows:
-            print(f"h={h} k={k} n={n} eco={a} rule={b} series={c} brute={d} {'ok' if ok else 'FAIL'}")
-    return 0 if ok_all else 1
+                print(f"MISMATCH h={h} k={k} n={n}: {_route_columns(counts)}", file=sys.stderr)
+            rows.append((h, k, n, counts, ok))
+    _emit(args.format, rows,
+          lambda r: {"h": r[0], "k": r[1], "n": r[2],
+                     **{name: str(c) for name, c in zip(ROUTES, r[3])}, "agree": r[4]},
+          lambda r: f"h={r[0]} k={r[1]} n={r[2]} {_route_columns(r[3])} {'ok' if r[4] else 'FAIL'}")
+    return 0 if all(r[4] for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------

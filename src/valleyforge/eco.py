@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import EmptyPath, NotInClass
 from .paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class
@@ -127,14 +128,22 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     return [_insert_peak(path, p) for p in sites]
 
 
-def generate(params: ClassParams, n: int) -> list[DyckPath]:
-    """All class paths of semilength n, each exactly once, sorted by word."""
+def levels(params: ClassParams, n: int) -> Iterator[list[DyckPath]]:
+    """The class paths of semilength 0, 1, ..., n, one level at a time, unsorted."""
     params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
     level = [EMPTY_PATH]
+    yield level
     for _ in range(n):
         level = [child for path in level for child in children(path, params)]
+        yield level
+
+
+def generate(params: ClassParams, n: int) -> list[DyckPath]:
+    """All class paths of semilength n, each exactly once, sorted by word."""
+    for level in levels(params, n):
+        pass
     return sorted(level, key=lambda p: p.word)
 
 
@@ -176,20 +185,33 @@ def _successors(label: EcoLabel, params: ClassParams) -> list[EcoLabel]:
     )
 
 
-def rule_counts(params: ClassParams, n: int) -> LabelVector:
-    """Label multiplicities after n steps of the succession rule.
-
-    Starts from one copy of the axiom (1); the total equals the number of
-    class paths of semilength n.
-    """
+def _rule_steps(params: ClassParams, n: int) -> Iterator[Counter[EcoLabel]]:
+    """Label multiplicities after 0, 1, ..., n steps of the succession rule."""
     params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
     counts: Counter[EcoLabel] = Counter({EcoLabel.num(1): 1})
+    yield counts
     for _ in range(n):
         nxt: Counter[EcoLabel] = Counter()
         for label, mult in counts.items():
             for succ in _successors(label, params):
                 nxt[succ] += mult
         counts = nxt
+        yield counts
+
+
+def rule_counts(params: ClassParams, n: int) -> LabelVector:
+    """Label multiplicities after n steps of the succession rule.
+
+    Starts from one copy of the axiom (1); the total equals the number of
+    class paths of semilength n.
+    """
+    for counts in _rule_steps(params, n):
+        pass
     return LabelVector(dict(counts))
+
+
+def rule_totals_upto(params: ClassParams, nmax: int) -> list[int]:
+    """Succession-rule class counts for every semilength 0..nmax, in one sweep."""
+    return [sum(counts.values()) for counts in _rule_steps(params, nmax)]

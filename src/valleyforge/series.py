@@ -307,15 +307,19 @@ def closed_form_F(params: ClassParams, i: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
-def f_series(params: ClassParams, order: int) -> TruncatedSeries:
-    """Counting series of the class: coefficient n is the count at semilength n.
+def counting_series(params: ClassParams, F: list[TruncatedSeries]) -> TruncatedSeries:
+    """Counting series of the class from its solved components F_1..F_h.
 
     f = F_1 + ... + F_h + (x + x^2 + ... + x^{k-2}) F_h; the prefactor is
     the zero polynomial when k = 2.
     """
-    F = solve_series(params, order)
-    acc = TruncatedSeries(order)
+    acc = TruncatedSeries(F[0].order)
     for s in F:
         acc = acc + s
     prefactor = IntPolynomial([0] + [1] * (params.k - 2))
     return acc + F[-1].mul_poly(prefactor)
+
+
+def f_series(params: ClassParams, order: int) -> TruncatedSeries:
+    """Counting series of the class: coefficient n is the count at semilength n."""
+    return counting_series(params, solve_series(params, order))

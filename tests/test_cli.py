@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from valleyforge import cli
 from valleyforge.cli import main
 
 
@@ -143,6 +145,41 @@ class TestVerify:
             assert row["eco"] == row["rule"] == row["series"] == row["brute"] == want
 
 
+class TestVerifyJobs:
+    @pytest.mark.parametrize("h_range,k_range,cpus,pools", [
+        ("4..5", "3..4", 8, [4]),    # capped at the cells
+        ("4..5", "3..4", 3, [3]),    # capped at the CPUs
+        ("4", "3", 8, []),           # one cell: no pool
+        ("4..5", "3..4", None, []),  # CPU count unknown: taken as one, no pool
+    ])
+    def test_pool_never_exceeds_cells_or_cpus(self, capsys, monkeypatch, h_range, k_range,
+                                              cpus, pools):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps in this process: starts nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ("verify", "--h", h_range, "--k", k_range, "--n-max", "5")
+        code, out, _ = run(capsys, *argv, "--jobs", "100000")
+        assert code == 0
+        assert sizes == pools
+        assert out == run(capsys, *argv, "--jobs", "1")[1]
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_output(self, capsys):
         outs = set()
@@ -162,3 +199,63 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--h", "4", "--k", "3", "--n", "2", "--method", "magic"])
         assert exc.value.code == 2
+
+
+# Small-size commands whose stdout is pinned byte for byte in every format.
+GOLDEN_COMMANDS = {
+    "count": ["count", "--h", "4", "--k", "3", "--n", "6", "--method", "series", "--cross-check"],
+    "generate_n5": ["generate", "--h", "4", "--k", "3", "--n", "5"],
+    "generate_n0": ["generate", "--h", "4", "--k", "3", "--n", "0"],
+    "series_components": ["series", "--h", "4", "--k", "3", "--order", "7", "--show-components"],
+    "series_k2": ["series", "--h", "5", "--k", "2", "--order", "8"],
+    "identity": ["identity", "--h-min", "4", "--h-max", "9"],
+    "verify": ["verify", "--h", "4..5", "--k", "2..3", "--n-max", "6", "--jobs", "1"],
+}
+
+# (command, format, exit code, stdout sha256, stdout bytes)
+GOLDEN = [
+    ("count", "plain", 0, "0b05feae0bc8448241c8a68d18d0a0e0a97bf00c6126b04c61f23529ab862426", 4),
+    ("count", "json", 0, "7e814dea09c2e8450d2b14a157b7a8385dd41e87d92131954f4742385dbe42ed", 61),
+    ("count", "csv", 0, "020988feba088b36f8d23654ab7a4414ce70c1201cf23238f48fbcf88d49372c", 38),
+    ("generate_n5", "plain", 0, "93f6d77ab0cf8e8405e541e844361c3dbd56feee9aab267a58d97eed695f4224", 451),
+    ("generate_n5", "json", 0, "972ed309f148e3fab24638eb903c4d4082a7b4625a68c7ca3311ca672d2d0dfd", 2180),
+    ("generate_n5", "csv", 0, "0c911d7845ab4137c431176df56631100081ec3b915ffaa90072295f7765a87d", 763),
+    ("generate_n0", "plain", 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b", 1),
+    ("generate_n0", "json", 0, "02073a1cc7e794fe6daea7916128c67d4f0efc9d55df5ba7d27debd5cbaf1c24", 44),
+    ("generate_n0", "csv", 0, "715ddc8c1100fbc572c2063f7b945b6aaad56cbd05e6e0f54c93d6ee75935458", 27),
+    ("series_components", "plain", 0, "d77aed0aeaf7ac6bfc92cafe65752147767564cdba4a9a9987f9c71cf8872412", 262),
+    ("series_components", "json", 0, "bcf824e3d4af031220974bb747bed9b5ec2402ecd322d5dbd63488011b1f45aa", 324),
+    ("series_components", "csv", 0, "345c55e9cc63b913e16ffffcd15613c3caf1e343b049490e683d6a72e49b75d7", 61),
+    ("series_k2", "plain", 0, "a1e5f44b7e44b3987a5d0adae4ca57e59e4eb95e263fc38919978386741cb635", 27),
+    ("series_k2", "json", 0, "1b6090d3cfa67e6097c1641d0f2020c204ebf09211c47ae2a1b5f06790f134b8", 89),
+    ("series_k2", "csv", 0, "dac8cdbbe22935cd3df9a4453ef1be66057242224b39eae9af10d13bd4117fd5", 69),
+    ("identity", "plain", 0, "975194fa373f61eceb25bc2e66d449c54135919a883e10a4e0cb640603714ef2", 565),
+    ("identity", "json", 0, "32a05ea946a447945eebb50e353464a10daad60ac2a57d228657325f46bdeb5a", 1091),
+    ("identity", "csv", 0, "dd1b4808d6c87000da1757d52e5be6fa02c0927e3d7c37fe61c94acac64b8354", 282),
+    ("verify", "plain", 0, "b8e2729b916b7d67b26b6cb1c91745647165673d7466084f857b731f7ed000c9", 1324),
+    ("verify", "json", 0, "c381ec823846d1a3b976abaa8b2382db8c69d9faa282da849f02c3b2bae578a4", 2725),
+    ("verify", "csv", 0, "d41826b88654efaa3f4a1886e53a82bb463cce30c3a77204e759fd6d16b20fc9", 659),
+]
+
+
+@pytest.mark.parametrize("name,fmt,code,sha256,nbytes", GOLDEN,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN])
+def test_golden_output(capsys, name, fmt, code, sha256, nbytes):
+    got_code, out, _ = run(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
+    data = out.encode()
+    assert (got_code, hashlib.sha256(data).hexdigest(), len(data)) == (code, sha256, nbytes)
+
+
+@pytest.mark.parametrize("argv", [
+    *[("count", "--h", "4", "--k", "3", "--n", "-1", "--method", m)
+      for m in ("eco", "rule", "series", "brute")],
+    ("count", "--h", "4", "--k", "3", "--n", "-1", "--method", "rule", "--cross-check"),
+    ("generate", "--h", "4", "--k", "3", "--n", "-1"),
+    ("series", "--h", "4", "--k", "3", "--order", "-1"),
+    ("verify", "--h", "4", "--k", "3", "--n-max", "-1", "--jobs", "1"),
+], ids=lambda argv: " ".join(argv))
+def test_negative_size_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valleyforge.eco import (
     EcoLabel,
@@ -6,13 +7,23 @@ from valleyforge.eco import (
     generate,
     invert_first_peak,
     label_of,
+    levels,
     rule_counts,
+    rule_totals_upto,
 )
 from valleyforge.errors import EmptyPath, NotInClass, UnsupportedParams
 from valleyforge.oracle import enumerate_dyck
 from valleyforge.paths import EMPTY_PATH, ClassParams, is_in_class, parse_path
 
 H4K3 = ClassParams(4, 3)
+
+
+@st.composite
+def supported_params(draw):
+    """(h, k) pairs the ECO routes accept, with h <= 7 and k <= 6."""
+    k = draw(st.integers(2, 6))
+    h = draw(st.integers(3 if k == 2 else 4, 7))
+    return ClassParams(h, k)
 
 
 class TestLabelOf:
@@ -122,6 +133,14 @@ class TestInvertFirstPeak:
                 assert is_in_class(parent, H4K3)
                 assert q.word in {c.word for c in children(parent, H4K3)}
 
+    @settings(max_examples=40, deadline=None)
+    @given(supported_params(), st.integers(0, 8), st.data())
+    def test_children_stay_in_class_and_invert(self, params, n, data):
+        path = data.draw(st.sampled_from(generate(params, n)))
+        for child in children(path, params):
+            assert is_in_class(child, params)
+            assert invert_first_peak(child) == path
+
 
 class TestRuleCounts:
     def test_axiom(self):
@@ -150,3 +169,9 @@ class TestRuleCounts:
     def test_unsupported(self):
         with pytest.raises(UnsupportedParams):
             rule_counts(ClassParams(3, 4), 2)
+
+    @pytest.mark.parametrize("params", [H4K3, ClassParams(3, 2), ClassParams(6, 5)])
+    def test_sweeps_match_per_n_counts(self, params):
+        assert rule_totals_upto(params, 8) == [rule_counts(params, n).total() for n in range(9)]
+        assert [sorted(level, key=lambda p: p.word) for level in levels(params, 8)] == [
+            generate(params, n) for n in range(9)]

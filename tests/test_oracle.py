@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valleyforge.eco import rule_counts
 from valleyforge.errors import CapExceeded
@@ -38,6 +39,13 @@ class TestBruteCount:
                 params = ClassParams(h, k)
                 expected = [sum(is_in_class(p, params) for p in level) for level in levels]
                 assert brute_counts_upto(params, 9) == expected, (h, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.integers(2, 6), st.integers(0, 9))
+    def test_dp_equals_filtered_enumeration_property(self, h, k, n):
+        params = ClassParams(h, k)
+        expected = sum(is_in_class(p, params) for p in enumerate_dyck(n))
+        assert brute_counts_upto(params, n)[n] == expected
 
     def test_agrees_with_rule_and_series_to_order_500(self):
         order = 500
