@@ -9,7 +9,7 @@ every other module and by the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from math import comb
 
 from .errors import BadSymbol, NegativePrefix, UnbalancedWord, UnsupportedParams
 
@@ -33,14 +33,8 @@ class DyckPath:
             return ""
         return format(self.bits, f"0{n2}b").replace("1", "U").replace("0", "D")
 
-    def steps(self) -> Iterator[str]:
-        return iter(self.word)
-
     def __str__(self) -> str:
         return self.word
-
-    def __len__(self) -> int:
-        return 2 * self.semilength
 
 
 EMPTY_PATH = DyckPath(0, 0)
@@ -141,14 +135,7 @@ def is_in_class(path: DyckPath, params: ClassParams) -> bool:
 
 
 def catalan(n: int) -> int:
-    """n-th Catalan number binom(2n, n) / (n + 1), computed exactly.
-
-    Uses the running product C_{i+1} = C_i * 2(2i+1) / (i+2); each division
-    is exact, so no factorials are ever materialized.
-    """
+    """n-th Catalan number binom(2n, n) / (n + 1), computed exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
+    return comb(2 * n, n) // (n + 1)

@@ -161,9 +161,13 @@ class TruncatedSeries:
 
 @dataclass
 class PolySystem:
-    """The h x h polynomial system A F = b for the component series."""
+    """The polynomial system A F = b for the component series.
 
-    matrix: list[list[IntPolynomial]]
+    ``matrix[i]`` maps column j to A[i][j] and holds only the nonzero
+    entries of row i (at most four).
+    """
+
+    matrix: list[dict[int, IntPolynomial]]
     rhs: list[IntPolynomial]
 
 
@@ -207,26 +211,19 @@ def build_system(params: ClassParams) -> PolySystem:
     """
     params.require_eco_supported()
     h, k = params.h, params.k
-    zero = IntPolynomial.zero()
     x = IntPolynomial.monomial(1)
-    matrix = [[zero for _ in range(h)] for _ in range(h)]
-    rhs = [zero for _ in range(h)]
-
-    matrix[0][0] = IntPolynomial.one()
-    rhs[0] = IntPolynomial.one()
+    minus_one = IntPolynomial([-1])
+    one = IntPolynomial.one()
+    matrix = [{0: one}]
     for r in range(1, h - 2):
-        matrix[r][r - 1] = x
-        matrix[r][r] = IntPolynomial([-1])
-        matrix[r][r + 1] = IntPolynomial.one()
-        if r == h - 3:
-            matrix[r][h - 1] = IntPolynomial.monomial(k - 1, -1)
-    matrix[h - 2][h - 3] = x
-    matrix[h - 2][h - 2] = IntPolynomial([-1])
-    matrix[h - 2][h - 1] = IntPolynomial.one() + IntPolynomial.monomial(k - 1)
-    matrix[h - 1][h - 2] = x
+        matrix.append({r - 1: x, r: minus_one, r + 1: one})
+    if h > 3:
+        matrix[h - 3][h - 1] = IntPolynomial.monomial(k - 1, -1)
+    matrix.append({h - 3: x, h - 2: minus_one, h - 1: one + IntPolynomial.monomial(k - 1)})
     # geometric block 1 + x + ... + x^{k-3}; empty when k = 2
     geom = IntPolynomial([1] * (k - 2))
-    matrix[h - 1][h - 1] = IntPolynomial([-1, 1]) + IntPolynomial.monomial(2) * geom
+    matrix.append({h - 2: x, h - 1: IntPolynomial([-1, 1]) + IntPolynomial.monomial(2) * geom})
+    rhs = [one] + [IntPolynomial.zero()] * (h - 1)
     return PolySystem(matrix, rhs)
 
 
@@ -236,32 +233,25 @@ def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
     Splitting A = A0 + (higher powers of x), each coefficient vector is
     obtained by back substitution against the triangular constant matrix
     A0, whose diagonal entries are all +-1; everything stays integral.
+    Each row contributes only its stored nonzero entries.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     system = build_system(params)
     h = params.h
-    A = system.matrix
-    maxdeg = max(entry.degree for row in A for entry in row)
     cols: list[list[int]] = []
     for n in range(order + 1):
-        rhs = [system.rhs[i].coefficient(n) for i in range(h)]
-        for m in range(1, min(n, maxdeg) + 1):
-            prev = cols[n - m]
-            for i in range(h):
-                for j in range(h):
-                    a = A[i][j].coefficient(m)
-                    if a:
-                        rhs[i] -= a * prev[j]
         vec = [0] * h
         for i in range(h - 1, -1, -1):
-            s = rhs[i]
-            for j in range(i + 1, h):
-                a0 = A[i][j].coefficient(0)
-                if a0:
-                    s -= a0 * vec[j]
-            diag = A[i][i].coefficient(0)
-            vec[i] = s if diag == 1 else -s
+            row = system.matrix[i]
+            s = system.rhs[i].coefficient(n)
+            for j, a in row.items():
+                cs = a.coeffs
+                for m in range(1, min(n, len(cs) - 1) + 1):
+                    s -= cs[m] * cols[n - m][j]
+                if j > i:
+                    s -= a.coefficient(0) * vec[j]
+            vec[i] = s if row[i].coefficient(0) == 1 else -s
         cols.append(vec)
     return [
         TruncatedSeries(order, (cols[n][i] for n in range(order + 1)))
@@ -276,8 +266,8 @@ def system_residuals(params: ClassParams, order: int) -> list[TruncatedSeries]:
     out = []
     for i in range(params.h):
         acc = TruncatedSeries(order)
-        for j in range(params.h):
-            acc = acc + F[j].mul_poly(system.matrix[i][j])
+        for j, a in system.matrix[i].items():
+            acc = acc + F[j].mul_poly(a)
         acc = acc - TruncatedSeries(order, system.rhs[i].coeffs)
         out.append(acc)
     return out

@@ -57,6 +57,14 @@ class TestBruteCount:
                 for n in (13, 100, order):
                     assert counts[n] == rule_counts(params, n).total(), (h, k, n)
 
+    @pytest.mark.parametrize("h,k", [(64, 5), (128, 3)])
+    def test_agrees_with_series_at_large_h(self, h, k):
+        params = ClassParams(h, k)
+        order = 300
+        assert brute_counts_upto(params, order, cap=order) == list(
+            f_series(params, order).coeffs
+        )
+
     def test_upto_consistent(self):
         params = ClassParams(5, 3)
         upto = brute_counts_upto(params, 10)

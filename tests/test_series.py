@@ -95,11 +95,20 @@ class TestBuildSystem:
         system = build_system(ClassParams(h, k))
         for i in range(h):
             for j in range(h):
-                a0 = system.matrix[i][j].coefficient(0)
+                a0 = system.matrix[i].get(j, IntPolynomial()).coefficient(0)
                 if j < i:
                     assert a0 == 0
                 elif j == i:
                     assert a0 == (1 if i == 0 else -1)
+
+    @pytest.mark.parametrize("h,k", GRID + K2_GRID)
+    def test_rows_store_only_nonzero_entries(self, h, k):
+        system = build_system(ClassParams(h, k))
+        assert len(system.matrix) == h
+        for i, row in enumerate(system.matrix):
+            assert len(row) <= 4
+            assert i in row
+            assert all(entry != IntPolynomial() for entry in row.values())
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedParams):
