@@ -54,24 +54,23 @@ class LabelVector:
         return sum(self.counts.values())
 
 
-def _initial_up_run(path: DyckPath) -> int:
-    t = 0
-    for ch in path.word:
-        if ch != "U":
-            break
-        t += 1
-    return t
+def _up_run(path: DyckPath) -> int:
+    """Length t of the initial up-run; the first peak is the UD at step t-1."""
+    n2 = 2 * path.semilength
+    return n2 - (path.bits ^ ((1 << n2) - 1)).bit_length()
 
 
-def _leading_valley_count(path: DyckPath, h: int) -> int:
-    """Number of DU factors directly after the initial U^h run."""
-    word = path.word
+def _label(path: DyckPath, h: int, k: int) -> EcoLabel:
+    """:func:`label_of` read from the bits of a class path, without checks."""
+    t = _up_run(path)
+    if t < h:
+        return EcoLabel.num(t + 1)
+    shift = 2 * path.semilength - t - 2  # low bit of the DU window after the run
     ell = 0
-    i = h
-    while i + 1 < len(word) and word[i] == "D" and word[i + 1] == "U":
+    while ell < k - 2 and shift >= 0 and (path.bits >> shift) & 0b11 == 0b01:
         ell += 1
-        i += 2
-    return ell
+        shift -= 2
+    return EcoLabel.hdx(ell) if ell < k - 2 else EcoLabel.num(h - 1)
 
 
 def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
@@ -80,20 +79,13 @@ def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
     Initial up-run of length t < h gives (t+1).  A full run t = h gives
     (h_l) where l counts the valleys at height h-1 right after the run,
     except that l = k-2 (the saturated case, the only one possible when
-    k = 2) gives (h-1).
+    k = 2) gives (h-1): inserting a peak at ordinate h-1 would make a
+    run of k-1 valleys.
     """
     params.require_eco_supported()
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
-    if path.semilength == 0:
-        return EcoLabel.num(1)
-    t = _initial_up_run(path)
-    if t < params.h:
-        return EcoLabel.num(t + 1)
-    ell = _leading_valley_count(path, params.h)
-    if ell <= params.k - 3:
-        return EcoLabel.hdx(ell)
-    return EcoLabel.num(params.h - 1)
+    return _label(path, params.h, params.k)
 
 
 def _insert_peak(path: DyckPath, pos: int) -> DyckPath:
@@ -109,23 +101,14 @@ def _insert_peak(path: DyckPath, pos: int) -> DyckPath:
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     """Paths of semilength n+1 produced from ``path`` by the growth operator.
 
-    Active sites sit along the initial up-run; children are emitted in
-    increasing ordinate of the insertion point, so the list order is
-    deterministic.  The list length always equals the label's child count.
+    Precondition: ``params`` is ECO-supported and ``path`` is in its class;
+    neither is checked here (:func:`label_of` and :func:`levels` check).
+    Active sites sit along the initial up-run, one per child the label
+    allows; children are emitted in increasing ordinate of the insertion
+    point, so the list order is deterministic.
     """
-    params.require_eco_supported()
-    if not is_in_class(path, params):
-        raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
-    t = _initial_up_run(path)
-    if t < params.h:
-        sites = range(t + 1)
-    else:
-        ell = _leading_valley_count(path, params.h)
-        if ell <= params.k - 3:
-            sites = range(params.h)
-        else:  # saturated: inserting at ordinate h-1 would create a k-1 run
-            sites = range(params.h - 1)
-    return [_insert_peak(path, p) for p in sites]
+    label = _label(path, params.h, params.k)
+    return [_insert_peak(path, p) for p in range(label.child_count(params.h))]
 
 
 def levels(params: ClassParams, n: int) -> Iterator[list[DyckPath]]:
@@ -151,10 +134,7 @@ def invert_first_peak(path: DyckPath) -> DyckPath:
     """Remove the leftmost UD factor; the reverse of the growth operator."""
     if path.semilength == 0:
         raise EmptyPath("the empty path has no peak to remove")
-    word = path.word
-    pos = word.index("UD")
-    n2 = len(word)
-    shift = n2 - pos - 2
+    shift = 2 * path.semilength - _up_run(path) - 1
     high = path.bits >> (shift + 2)
     low = path.bits & ((1 << shift) - 1)
     return DyckPath((high << shift) | low, path.semilength - 1)

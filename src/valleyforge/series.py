@@ -63,9 +63,6 @@ class IntPolynomial:
             self.coefficient(i) - other.coefficient(i) for i in range(n)
         )
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
-
     def __mul__(self, other):  # noqa: ANN001 - polynomial or int
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import valleyforge
 from valleyforge import cli
 from valleyforge.cli import main
 
@@ -199,6 +204,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--h", "4", "--k", "3", "--n", "2", "--method", "magic"])
         assert exc.value.code == 2
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = str(Path(valleyforge.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    base = [sys.executable, "-m", "valleyforge", "count", "--h", "4", "--k", "3", "--method", "brute"]
+    ok = subprocess.run([*base, "--n", "5"], capture_output=True, text=True, env=env)
+    assert (ok.returncode, ok.stdout.strip()) == (0, "41")
+    bad = subprocess.run([*base, "--n", "-1"], capture_output=True, text=True, env=env)
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:")
 
 
 # Small-size commands whose stdout is pinned byte for byte in every format.

@@ -89,6 +89,12 @@ class TestGenerate:
         assert got == {p.word for p in enumerate_dyck(3)}
         assert len(got) == 5
 
+    @settings(max_examples=40, deadline=None)
+    @given(supported_params(), st.integers(0, 9))
+    def test_equals_filtered_enumeration_property(self, params, n):
+        brute = sorted(p.word for p in enumerate_dyck(n) if is_in_class(p, params))
+        assert [p.word for p in generate(params, n)] == brute
+
     def test_n6_count(self):
         paths = generate(H4K3, 6)
         assert len(paths) == 121
@@ -126,6 +132,11 @@ class TestInvertFirstPeak:
         with pytest.raises(EmptyPath):
             invert_first_peak(EMPTY_PATH)
 
+    def test_removes_first_peak_of_every_dyck_path(self):
+        for n in range(1, 9):
+            for q in enumerate_dyck(n):
+                assert invert_first_peak(q).word == q.word.replace("UD", "", 1)
+
     def test_reverse_map_property(self):
         for n in range(7):
             for q in generate(H4K3, n + 1):
@@ -153,13 +164,16 @@ class TestRuleCounts:
         for n in range(9):
             assert rule_counts(H4K3, n).total() == len(generate(H4K3, n))
 
-    def test_label_histogram_matches_paths(self):
+    # k = 2, the saturated case, and (h_j) labels up to j = 3 at (4, 6).
+    @pytest.mark.parametrize("h,k", [(4, 3), (3, 2), (5, 2), (6, 5), (7, 5), (4, 6)])
+    def test_label_histogram_matches_paths(self, h, k):
+        params = ClassParams(h, k)
         for n in range(8):
             hist: dict[EcoLabel, int] = {}
-            for p in generate(H4K3, n):
-                label = label_of(p, H4K3)
+            for p in generate(params, n):
+                label = label_of(p, params)
                 hist[label] = hist.get(label, 0) + 1
-            assert hist == rule_counts(H4K3, n).counts
+            assert hist == rule_counts(params, n).counts
 
     def test_k2_totals_match_generation(self):
         params = ClassParams(3, 2)

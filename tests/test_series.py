@@ -28,7 +28,7 @@ class TestIntPolynomial:
         x = IntPolynomial.monomial(1)
         p = (x - IntPolynomial.one()) * (x + IntPolynomial.one())
         assert p == IntPolynomial([-1, 0, 1])
-        assert -p == IntPolynomial([1, 0, -1])
+        assert IntPolynomial() - p == IntPolynomial([1, 0, -1])
         assert 3 * x == IntPolynomial([0, 3])
 
     def test_json_round_trip(self):
