@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator
 
 from .errors import EmptyPath, NotInClass
@@ -27,11 +28,14 @@ class EcoLabel:
     kind: str
     index: int
 
+    # Interned: the ECO routes ask for a label per path, and labels are immutable.
     @staticmethod
+    @cache
     def num(l: int) -> "EcoLabel":
         return EcoLabel("num", l)
 
     @staticmethod
+    @cache
     def hdx(j: int) -> "EcoLabel":
         return EcoLabel("hdx", j)
 
@@ -54,20 +58,19 @@ class LabelVector:
         return sum(self.counts.values())
 
 
-def _up_run(path: DyckPath) -> int:
-    """Length t of the initial up-run; the first peak is the UD at step t-1."""
-    n2 = 2 * path.semilength
-    return n2 - (path.bits ^ ((1 << n2) - 1)).bit_length()
+def _up_run(bits: int, n2: int) -> int:
+    """Length t of the initial up-run of ``n2`` steps; the first peak is the UD at step t-1."""
+    return n2 - (bits ^ ((1 << n2) - 1)).bit_length()
 
 
-def _label(path: DyckPath, h: int, k: int) -> EcoLabel:
-    """:func:`label_of` read from the bits of a class path, without checks."""
-    t = _up_run(path)
+def _label(bits: int, n2: int, h: int, k: int) -> EcoLabel:
+    """:func:`label_of` read from the bits of a class path of 2n steps, without checks."""
+    t = _up_run(bits, n2)
     if t < h:
         return EcoLabel.num(t + 1)
-    shift = 2 * path.semilength - t - 2  # low bit of the DU window after the run
+    shift = n2 - t - 2  # low bit of the DU window after the run
     ell = 0
-    while ell < k - 2 and shift >= 0 and (path.bits >> shift) & 0b11 == 0b01:
+    while ell < k - 2 and shift >= 0 and (bits >> shift) & 0b11 == 0b01:
         ell += 1
         shift -= 2
     return EcoLabel.hdx(ell) if ell < k - 2 else EcoLabel.num(h - 1)
@@ -85,41 +88,52 @@ def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
     params.require_eco_supported()
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
-    return _label(path, params.h, params.k)
+    return _label(path.bits, 2 * path.semilength, params.h, params.k)
 
 
-def _insert_peak(path: DyckPath, pos: int) -> DyckPath:
-    """Insert a UD factor before step index ``pos``."""
-    n2 = 2 * path.semilength
-    shift = n2 - pos
-    high = path.bits >> shift
-    low = path.bits & ((1 << shift) - 1)
-    bits = (high << (shift + 2)) | (0b10 << shift) | low
-    return DyckPath(bits, path.semilength + 1)
+def _grow(bits: int, n2: int, h: int, k: int) -> list[int]:
+    """Bit patterns of the children of a class path of 2n steps, in site order.
+
+    Child p has a UD inserted before step p, for p = 0 .. the label's
+    child count - 1.  Child 0 is UD followed by the path.  Every site lies
+    on the initial up-run, so step p is a U and child p+1 is child p with
+    its inserted D moved one step right, past that U.
+    """
+    child = (0b10 << n2) | bits
+    kids = [child]
+    for s in range(n2 - 1, n2 - _label(bits, n2, h, k).child_count(h), -1):
+        child ^= 0b11 << s
+        kids.append(child)
+    return kids
 
 
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     """Paths of semilength n+1 produced from ``path`` by the growth operator.
 
     Precondition: ``params`` is ECO-supported and ``path`` is in its class;
-    neither is checked here (:func:`label_of` and :func:`levels` check).
-    Active sites sit along the initial up-run, one per child the label
-    allows; children are emitted in increasing ordinate of the insertion
-    point, so the list order is deterministic.
+    neither is checked here (:func:`label_of` checks both).  Active sites
+    sit along the initial up-run, one per child the label allows; children
+    are emitted in increasing ordinate of the insertion point, so the list
+    order is deterministic.
     """
-    label = _label(path, params.h, params.k)
-    return [_insert_peak(path, p) for p in range(label.child_count(params.h))]
+    m = path.semilength + 1
+    return [DyckPath(bits, m) for bits in _grow(path.bits, 2 * path.semilength, params.h, params.k)]
 
 
-def levels(params: ClassParams, n: int) -> Iterator[list[DyckPath]]:
-    """The class paths of semilength 0, 1, ..., n, one level at a time, unsorted."""
+def levels(params: ClassParams, n: int) -> Iterator[list[int]]:
+    """The class paths of semilength 0, 1, ..., n as bit patterns, one level at a time.
+
+    Level m lists the paths of semilength m, unsorted, as ints: U = 1, D = 0,
+    first step in the most significant of 2m bits.  No ``DyckPath`` is built.
+    """
     params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
-    level = [EMPTY_PATH]
+    h, k = params.h, params.k
+    level = [EMPTY_PATH.bits]
     yield level
-    for _ in range(n):
-        level = [child for path in level for child in children(path, params)]
+    for m in range(n):
+        level = [child for bits in level for child in _grow(bits, 2 * m, h, k)]
         yield level
 
 
@@ -127,6 +141,7 @@ def generate(params: ClassParams, n: int) -> list[DyckPath]:
     """All class paths of semilength n, each exactly once, sorted by word."""
     for level in levels(params, n):
         pass
+    level = [DyckPath(bits, n) for bits in level]
     return sorted(level, key=lambda p: p.word)
 
 
@@ -134,7 +149,8 @@ def invert_first_peak(path: DyckPath) -> DyckPath:
     """Remove the leftmost UD factor; the reverse of the growth operator."""
     if path.semilength == 0:
         raise EmptyPath("the empty path has no peak to remove")
-    shift = 2 * path.semilength - _up_run(path) - 1
+    n2 = 2 * path.semilength
+    shift = n2 - _up_run(path.bits, n2) - 1
     high = path.bits >> (shift + 2)
     low = path.bits & ((1 << shift) - 1)
     return DyckPath((high << shift) | low, path.semilength - 1)

@@ -227,6 +227,7 @@ GOLDEN_COMMANDS = {
     "series_k2": ["series", "--h", "5", "--k", "2", "--order", "8"],
     "identity": ["identity", "--h-min", "4", "--h-max", "9"],
     "verify": ["verify", "--h", "4..5", "--k", "2..3", "--n-max", "6", "--jobs", "1"],
+    "verify_grid": ["verify", "--h", "4..7", "--k", "3..5", "--n-max", "12", "--jobs", "1"],
 }
 
 # (command, format, exit code, stdout sha256, stdout bytes)
@@ -252,6 +253,8 @@ GOLDEN = [
     ("verify", "plain", 0, "b8e2729b916b7d67b26b6cb1c91745647165673d7466084f857b731f7ed000c9", 1324),
     ("verify", "json", 0, "c381ec823846d1a3b976abaa8b2382db8c69d9faa282da849f02c3b2bae578a4", 2725),
     ("verify", "csv", 0, "d41826b88654efaa3f4a1886e53a82bb463cce30c3a77204e759fd6d16b20fc9", 659),
+    # the acceptance grid, n <= 12
+    ("verify_grid", "plain", 0, "2fe359307be292bb00095042a494ed2f62a34dc08ee1cc2be9b4736e076a5da0", 8232),
 ]
 
 

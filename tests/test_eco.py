@@ -12,8 +12,8 @@ from valleyforge.eco import (
     rule_totals_upto,
 )
 from valleyforge.errors import EmptyPath, NotInClass, UnsupportedParams
-from valleyforge.oracle import enumerate_dyck
-from valleyforge.paths import EMPTY_PATH, ClassParams, is_in_class, parse_path
+from valleyforge.oracle import brute_counts_upto, enumerate_dyck
+from valleyforge.paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class, parse_path
 
 H4K3 = ClassParams(4, 3)
 
@@ -187,5 +187,27 @@ class TestRuleCounts:
     @pytest.mark.parametrize("params", [H4K3, ClassParams(3, 2), ClassParams(6, 5)])
     def test_sweeps_match_per_n_counts(self, params):
         assert rule_totals_upto(params, 8) == [rule_counts(params, n).total() for n in range(9)]
-        assert [sorted(level, key=lambda p: p.word) for level in levels(params, 8)] == [
-            generate(params, n) for n in range(9)]
+        # At a fixed semilength, bit order is word order.
+        assert [sorted(level) for level in levels(params, 8)] == [
+            [p.bits for p in generate(params, n)] for n in range(9)]
+
+
+SUPPORTED = [(h, k) for k in range(2, 7) for h in range(3 if k == 2 else 4, 8)]
+
+
+class TestLevels:
+    @pytest.mark.parametrize("h,k", SUPPORTED)
+    def test_each_level_is_children_of_the_previous(self, h, k):
+        params = ClassParams(h, k)
+        previous = None
+        for m, level in enumerate(levels(params, 9)):
+            if m:
+                kids = [c for bits in previous for c in children(DyckPath(bits, m - 1), params)]
+                assert all(c.semilength == m for c in kids)
+                assert level == [c.bits for c in kids]
+            previous = level
+
+    @pytest.mark.parametrize("h,k", [(h, k) for h in range(4, 8) for k in range(3, 6)])
+    def test_level_sizes_match_dp_on_acceptance_grid(self, h, k):
+        params = ClassParams(h, k)
+        assert [len(level) for level in levels(params, 12)] == brute_counts_upto(params, 12)
