@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, eco, identity, oracle, series
@@ -88,6 +89,15 @@ def _route_columns(counts) -> str:
     return " ".join(f"{name}={c}" for name, c in zip(ROUTES, counts))
 
 
+def _odd_routes(counts: dict[str, int]) -> str:
+    """Name each route that differs from the value a strict majority of routes hold."""
+    value, held = Counter(counts.values()).most_common(1)[0]
+    if 2 * held <= len(counts):
+        return "no majority"
+    odd = [f"{name} differs by {c - value:+d}" for name, c in counts.items() if c != value]
+    return "; ".join([f"majority {value}", *odd])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -97,7 +107,8 @@ def _cmd_count(args) -> int:
     methods = ROUTES if args.cross_check else [args.method]
     counts = {m: ROUTES[m](params, args.n, args.cap)[args.n] for m in methods}
     if len(set(counts.values())) != 1:
-        print(f"disagreement at h={args.h} k={args.k} n={args.n}: {counts}", file=sys.stderr)
+        print(f"disagreement at h={args.h} k={args.k} n={args.n}: {counts}; {_odd_routes(counts)}",
+              file=sys.stderr)
         return 1
     value = counts[args.method]
     record = {"h": args.h, "k": args.k, "n": args.n, "method": args.method, "count": str(value)}
@@ -175,7 +186,8 @@ def _cmd_verify(args) -> int:
         for n, counts in enumerate(cell_rows):
             ok = len(set(counts)) == 1
             if not ok:
-                print(f"MISMATCH h={h} k={k} n={n}: {_route_columns(counts)}", file=sys.stderr)
+                print(f"MISMATCH h={h} k={k} n={n}: {_route_columns(counts)}; "
+                      f"{_odd_routes(dict(zip(ROUTES, counts)))}", file=sys.stderr)
             rows.append((h, k, n, counts, ok))
     _emit(args.format, rows,
           lambda r: {"h": r[0], "k": r[1], "n": r[2],

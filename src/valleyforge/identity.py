@@ -1,6 +1,6 @@
 """Coefficient identities linking the class counts to Catalan numbers.
 
-The headline result: for ceil((h+1)/2) <= n < h the Catalan numbers obey a
+The headline result: for ceil((h+1)/2) <= n <= h the Catalan numbers obey a
 constant-coefficient recurrence whose weights are binomials in h alone.
 The intermediate coefficient relation is checked against exact class
 counts supplied by any route (series engine or brute force).
@@ -91,9 +91,13 @@ def check_relation(
 def catalan_recurrence_check(h: int, n: int) -> tuple[int, int]:
     """Catalan number vs its constant-coefficient recurrence value.
 
-    C_n = sum_{j=1}^{floor((h+1)/2)} (-1)^{j+1} binom(h+1-j, j) C_{n-j},
-    valid exactly on the window ceil((h+1)/2) <= n < h.  Calling outside
-    the window is an error, not a silent pass.
+    C_n = sum_{j=1}^{floor((h+1)/2)} (-1)^{j+1} binom(h+1-j, j) C_{n-j}
+    holds exactly on the window ceil((h+1)/2) <= n <= h: the recurrence is
+    the one of paths of height <= h, whose series agrees with C(x) up to
+    x^h.  It fails at n = floor(h/2) and at n = h+1, where C_{h+1} exceeds
+    the recurrence by 1, the lone path U^{h+1} D^{h+1}.  This check accepts
+    ceil((h+1)/2) <= n < h; calling outside that range is an error, not a
+    silent pass.
     """
     lo = (h + 2) // 2  # ceil((h+1)/2)
     if not lo <= n < h:

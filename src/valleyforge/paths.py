@@ -3,7 +3,8 @@
 A Dyck path is stored as a packed bit sequence: U = 1, D = 0, first step in
 the most significant position.  The canonical text form is an uppercase
 'U'/'D' string with no separators; that string is the wire format used by
-every other module and by the CLI.
+every other module and by the CLI.  The predicates (height, valley runs,
+class membership) read the bits and never render the word.
 """
 
 from __future__ import annotations
@@ -91,15 +92,39 @@ def parse_path(word: str) -> DyckPath:
     return DyckPath(bits, len(word) // 2)
 
 
+def _byte_steps(byte: int) -> tuple[int, int]:
+    """(net change, highest ordinate reached) over the eight steps of ``byte``."""
+    o = top = 0
+    for i in range(7, -1, -1):
+        o += 1 if byte >> i & 1 else -1
+        top = max(top, o)
+    return o, top
+
+
+# Eight steps at a time, first step in the most significant bit.
+_BYTE_STEPS = tuple(_byte_steps(b) for b in range(256))
+
+
 def height(path: DyckPath) -> int:
     """Maximum ordinate reached by the path."""
-    best = 0
-    o = 0
-    for ch in path.word:
-        o += 1 if ch == "U" else -1
-        if o > best:
-            best = o
+    n2 = 2 * path.semilength
+    pad = -n2 % 8  # trailing D steps fill the last byte and cannot raise the maximum
+    best = o = 0
+    for byte in (path.bits << pad).to_bytes((n2 + pad) // 8, "big"):
+        net, top = _BYTE_STEPS[byte]
+        if o + top > best:
+            best = o + top
+        o += net
     return best
+
+
+def _valleys(bits: int, n2: int) -> int:
+    """DU mask of a path of ``n2`` steps: bit p set when step p is D and the next is U.
+
+    Steps are numbered by bit position, as in ``DyckPath.bits``.  A (DU)^m
+    factor is a run of m set bits at stride 2.
+    """
+    return ~bits & (bits << 1) & ((1 << n2) - 1)
 
 
 def max_valley_run_at_height(path: DyckPath, y: int) -> int:
@@ -107,23 +132,22 @@ def max_valley_run_at_height(path: DyckPath, y: int) -> int:
 
     A valley is a DU factor; its height is the ordinate where the D lands.
     Runs must be literally adjacent in the step string, i.e. a (DU)^m factor.
+    Every valley of a run sits at the same height, so each maximal run is
+    placed once, by a popcount of the steps before it.
     """
-    word = path.word
+    bits = path.bits
+    n2 = 2 * path.semilength
+    du = _valleys(bits, n2)
     best = 0
-    run = 0
-    o = 0
-    i = 0
-    n2 = len(word)
-    while i < n2:
-        if word[i] == "D" and o - 1 == y and i + 1 < n2 and word[i + 1] == "U":
-            run += 1
-            if run > best:
-                best = run
-            i += 2  # consume the DU pair; o is unchanged
-        else:
-            run = 0
-            o += 1 if word[i] == "U" else -1
-            i += 1
+    while du:
+        p = du.bit_length() - 1  # the run's first D
+        q = p - 2
+        while q >= 0 and du >> q & 1:
+            q -= 2
+        run = (p - q) // 2
+        if run > best and 2 * (bits >> (p + 1)).bit_count() - (n2 - 1 - p) - 1 == y:
+            best = run
+        du &= (1 << (q + 2)) - 1  # drop the run; bit q+1 is a U, never in the mask
     return best
 
 
@@ -131,7 +155,13 @@ def is_in_class(path: DyckPath, params: ClassParams) -> bool:
     """True iff the path has height <= h and valley-run at h-1 <= k-2."""
     if height(path) > params.h:
         return False
-    return max_valley_run_at_height(path, params.h - 1) <= params.k - 2
+    # Bit p survives when a (DU)^(k-1) factor ends with the DU at p; none at
+    # all means no forbidden run at any height.
+    du = _valleys(path.bits, 2 * path.semilength)
+    runs = du
+    for s in range(2, 2 * (params.k - 1), 2):
+        runs &= du >> s
+    return not runs or max_valley_run_at_height(path, params.h - 1) <= params.k - 2
 
 
 def catalan(n: int) -> int:

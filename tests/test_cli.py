@@ -150,6 +150,39 @@ class TestVerify:
             assert row["eco"] == row["rule"] == row["series"] == row["brute"] == want
 
 
+def _rule_off_by_one_at_nmax(params, nmax, cap):
+    counts = cli.ROUTES["brute"](params, nmax, cap)
+    counts[nmax] += 1
+    return counts
+
+
+class TestOddRouteOut:
+    def test_verify_names_the_route(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.ROUTES, "rule", _rule_off_by_one_at_nmax)
+        code, out, err = run(capsys, "verify", "--h", "4", "--k", "3", "--n-max", "5", "--jobs", "1")
+        assert code == 1
+        assert out.splitlines()[-1] == "h=4 k=3 n=5 eco=41 rule=42 series=41 brute=41 FAIL"
+        assert out.count("FAIL") == 1
+        assert err == ("MISMATCH h=4 k=3 n=5: eco=41 rule=42 series=41 brute=41; "
+                       "majority 41; rule differs by +1\n")
+
+    def test_cross_check_names_the_route(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.ROUTES, "rule", _rule_off_by_one_at_nmax)
+        code, out, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "5",
+                             "--method", "series", "--cross-check")
+        assert (code, out) == (1, "")
+        assert err.startswith("disagreement at h=4 k=3 n=5:")
+        assert err.endswith("; majority 41; rule differs by +1\n")
+
+    def test_no_majority(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.ROUTES, "rule", _rule_off_by_one_at_nmax)
+        monkeypatch.setitem(cli.ROUTES, "series", lambda params, nmax, cap: [0] * (nmax + 1))
+        code, _, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "5",
+                           "--method", "brute", "--cross-check")
+        assert code == 1
+        assert err.endswith("; no majority\n")
+
+
 class TestVerifyJobs:
     @pytest.mark.parametrize("h_range,k_range,cpus,pools", [
         ("4..5", "3..4", 8, [4]),    # capped at the cells
@@ -228,6 +261,7 @@ GOLDEN_COMMANDS = {
     "identity": ["identity", "--h-min", "4", "--h-max", "9"],
     "verify": ["verify", "--h", "4..5", "--k", "2..3", "--n-max", "6", "--jobs", "1"],
     "verify_grid": ["verify", "--h", "4..7", "--k", "3..5", "--n-max", "12", "--jobs", "1"],
+    "generate_listing": ["generate", "--h", "7", "--k", "5", "--n", "12"],
 }
 
 # (command, format, exit code, stdout sha256, stdout bytes)
@@ -255,6 +289,9 @@ GOLDEN = [
     ("verify", "csv", 0, "d41826b88654efaa3f4a1886e53a82bb463cce30c3a77204e759fd6d16b20fc9", 659),
     # the acceptance grid, n <= 12
     ("verify_grid", "plain", 0, "2fe359307be292bb00095042a494ed2f62a34dc08ee1cc2be9b4736e076a5da0", 8232),
+    # 201,145 paths, each with its height and label
+    ("generate_listing", "json", 0, "6451e7c558cc95567da01f1d29c4c5c40dfce347fcc651d21e3b3d08b4373328",
+     13480864),
 ]
 
 

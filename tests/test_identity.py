@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -91,6 +92,20 @@ class TestCatalanRecurrence:
             catalan_recurrence_check(5, 2)
         with pytest.raises(DomainViolation):
             catalan_recurrence_check(5, 5)
+
+
+def test_recurrence_window_edges():
+    """The recurrence holds on ceil((h+1)/2) <= n <= h and fails just outside."""
+
+    def gap(h, n):
+        value = sum((-1) ** (j + 1) * comb(h + 1 - j, j) * catalan(n - j)
+                    for j in range(1, (h + 1) // 2 + 1) if n - j >= 0)
+        return catalan(n) - value
+
+    for h in range(4, 65):
+        assert all(gap(h, n) == 0 for n in range((h + 2) // 2, h + 1)), h
+        assert gap(h, h // 2) != 0, h
+        assert gap(h, h + 1) == 1, h  # the lone path U^{h+1} D^{h+1}
 
 
 class TestPascal:

@@ -1,10 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from valleyforge import eco
 from valleyforge.errors import BadSymbol, NegativePrefix, UnbalancedWord
+from valleyforge.oracle import enumerate_dyck
 from valleyforge.paths import (
     EMPTY_PATH,
     ClassParams,
+    DyckPath,
     catalan,
     height,
     is_in_class,
@@ -40,6 +45,23 @@ def random_dyck_words(max_semilength=8):
     return build()
 
 
+def word_reference(word):
+    """(height, {y: longest (DU)^m factor whose D steps land at y}) from the step string."""
+    ordinates = [0]
+    for c in word:
+        ordinates.append(ordinates[-1] + (1 if c == "U" else -1))
+    runs = {}
+    for m in re.finditer("(?:DU)+", word):
+        y = ordinates[m.start() + 1]
+        runs[y] = max(runs.get(y, 0), len(m.group()) // 2)
+    return max(ordinates), runs
+
+
+def class_reference(word, h, k):
+    top, runs = word_reference(word)
+    return top <= h and runs.get(h - 1, 0) <= k - 2
+
+
 class TestParse:
     def test_empty_word(self):
         assert parse_path("") == EMPTY_PATH
@@ -70,6 +92,11 @@ class TestHeight:
     @pytest.mark.parametrize("word,expected", [("UDUD", 1), ("UUDD", 2), ("", 0)])
     def test_examples(self, word, expected):
         assert height(parse_path(word)) == expected
+
+
+    @given(random_dyck_words(max_semilength=40))
+    def test_matches_word_reference(self, word):
+        assert height(parse_path(word)) == word_reference(word)[0]
 
 
 class TestValleyRun:
@@ -125,6 +152,41 @@ class TestClassMembership:
         p = parse_path("UUUDUDDD")  # one valley at height 2
         assert not is_in_class(p, ClassParams(3, 2))
         assert is_in_class(p, ClassParams(3, 3))
+
+
+    @given(random_dyck_words(max_semilength=40), st.integers(1, 12), st.integers(2, 8))
+    def test_matches_word_reference(self, word, h, k):
+        assert is_in_class(parse_path(word), ClassParams(h, k)) == class_reference(word, h, k)
+
+
+class TestPredicatesExhaustive:
+    """Every Dyck path of semilength 0..9: all byte alignments of 2n steps."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_match_word_reference(self, n):
+        for p in enumerate_dyck(n):
+            top, runs = word_reference(p.word)
+            assert height(p) == top
+            for y in range(-1, n + 2):
+                assert max_valley_run_at_height(p, y) == runs.get(y, 0)
+            for h in range(1, 8):
+                for k in range(2, 7):
+                    assert is_in_class(p, ClassParams(h, k)) == class_reference(p.word, h, k)
+
+
+def test_predicates_never_render_the_word(monkeypatch):
+    params = ClassParams(7, 5)
+    paths = eco.generate(params, 9)
+    expected = [(height(p), max_valley_run_at_height(p, 6), eco.label_of(p, params))
+                for p in paths]
+
+    def refuse(self):
+        raise AssertionError("the word was rendered")
+
+    monkeypatch.setattr(DyckPath, "word", property(refuse))
+    got = [(height(p), max_valley_run_at_height(p, 6), eco.label_of(p, params)) for p in paths]
+    assert got == expected
+    assert all(is_in_class(p, params) for p in paths)
 
 
 class TestClassParams:
