@@ -23,15 +23,9 @@ from .paths import ClassParams, height
 # counting routes
 
 
-def _check_cap(n: int, cap: int) -> None:
-    """Refuse a semilength above --cap before any route lists paths."""
-    if n > cap:
-        raise ValleyforgeError(f"n={n} exceeds the cap {cap}")
-
-
 def _eco_counts(params: ClassParams, nmax: int, cap: int) -> list[int]:
     """ECO route: it lists every path, so the cap applies as for the oracle."""
-    _check_cap(nmax, cap)
+    oracle.check_cap(nmax, cap)
     return [len(level) for level in eco.levels(params, nmax)]
 
 
@@ -85,8 +79,8 @@ def _emit(fmt: str, items, record, line) -> None:
             print(line(item))
 
 
-def _route_columns(counts) -> str:
-    return " ".join(f"{name}={c}" for name, c in zip(ROUTES, counts))
+def _route_columns(counts: dict[str, int]) -> str:
+    return " ".join(f"{name}={c}" for name, c in counts.items())
 
 
 def _odd_routes(counts: dict[str, int]) -> str:
@@ -98,6 +92,11 @@ def _odd_routes(counts: dict[str, int]) -> str:
     return "; ".join([f"majority {value}", *odd])
 
 
+def _disagreement(counts: dict[str, int]) -> str:
+    """Every route's count, then the routes that differ from the majority."""
+    return f"{_route_columns(counts)}; {_odd_routes(counts)}"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -107,7 +106,7 @@ def _cmd_count(args) -> int:
     methods = ROUTES if args.cross_check else [args.method]
     counts = {m: ROUTES[m](params, args.n, args.cap)[args.n] for m in methods}
     if len(set(counts.values())) != 1:
-        print(f"disagreement at h={args.h} k={args.k} n={args.n}: {counts}; {_odd_routes(counts)}",
+        print(f"disagreement at h={args.h} k={args.k} n={args.n}: {_disagreement(counts)}",
               file=sys.stderr)
         return 1
     value = counts[args.method]
@@ -121,7 +120,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_generate(args) -> int:
     params = ClassParams(args.h, args.k)
-    _check_cap(args.n, args.cap)
+    oracle.check_cap(args.n, args.cap)
     _emit(args.format, eco.generate(params, args.n),
           lambda p: {"word": p.word, "height": height(p), "label": str(eco.label_of(p, params))},
           lambda p: p.word)
@@ -169,7 +168,7 @@ def _cmd_verify(args) -> int:
     cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
     for h, k in cells:
         ClassParams(h, k).require_eco_supported()
-    _check_cap(args.n_max, args.cap)
+    oracle.check_cap(args.n_max, args.cap)
 
     jobs = [(h, k, args.n_max, args.cap) for h, k in cells]
     # Each worker is a process of its own, all started at once: never more
@@ -183,15 +182,15 @@ def _cmd_verify(args) -> int:
 
     rows = []
     for (h, k), cell_rows in zip(cells, results):
-        for n, counts in enumerate(cell_rows):
-            ok = len(set(counts)) == 1
+        for n, row in enumerate(cell_rows):
+            counts = dict(zip(ROUTES, row))
+            ok = len(set(row)) == 1
             if not ok:
-                print(f"MISMATCH h={h} k={k} n={n}: {_route_columns(counts)}; "
-                      f"{_odd_routes(dict(zip(ROUTES, counts)))}", file=sys.stderr)
+                print(f"MISMATCH h={h} k={k} n={n}: {_disagreement(counts)}", file=sys.stderr)
             rows.append((h, k, n, counts, ok))
     _emit(args.format, rows,
           lambda r: {"h": r[0], "k": r[1], "n": r[2],
-                     **{name: str(c) for name, c in zip(ROUTES, r[3])}, "agree": r[4]},
+                     **{name: str(c) for name, c in r[3].items()}, "agree": r[4]},
           lambda r: f"h={r[0]} k={r[1]} n={r[2]} {_route_columns(r[3])} {'ok' if r[4] else 'FAIL'}")
     return 0 if all(r[4] for r in rows) else 1
 

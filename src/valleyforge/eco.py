@@ -4,11 +4,16 @@ The growth operator inserts a UD peak at the active sites of a path, so
 that every path of semilength n+1 in the class is produced exactly once
 from a path of semilength n.  Label dynamics reproduce the same counts
 without touching any concrete path.
+
+The labels (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain, and inside
+this module a label is its position p = 0 .. h+k-3 on it.  A label with
+c = min(p+1, h) children produces (2), ..., (c) and the next label on the
+chain; the last one goes back to (h-1).  One rule step on the h+k-2
+multiplicities is therefore a shift along the chain plus suffix sums.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator
@@ -28,7 +33,7 @@ class EcoLabel:
     kind: str
     index: int
 
-    # Interned: the ECO routes ask for a label per path, and labels are immutable.
+    # Interned: label_of asks for a label per path, and labels are immutable.
     @staticmethod
     @cache
     def num(l: int) -> "EcoLabel":
@@ -63,45 +68,56 @@ def _up_run(bits: int, n2: int) -> int:
     return n2 - (bits ^ ((1 << n2) - 1)).bit_length()
 
 
-def _label(bits: int, n2: int, h: int, k: int) -> EcoLabel:
-    """:func:`label_of` read from the bits of a class path of 2n steps, without checks."""
+def _label(bits: int, n2: int, h: int, k: int) -> int:
+    """Chain position of :func:`label_of`, read from the bits of a class path of 2n steps.
+
+    No checks.  An initial up-run t < h gives t, a full run followed by l < k-2
+    valleys at height h-1 gives h + l, and the saturated run wraps to
+    h - 2, the position of (h-1).
+    """
     t = _up_run(bits, n2)
     if t < h:
-        return EcoLabel.num(t + 1)
+        return t
     shift = n2 - t - 2  # low bit of the DU window after the run
     ell = 0
     while ell < k - 2 and shift >= 0 and (bits >> shift) & 0b11 == 0b01:
         ell += 1
         shift -= 2
-    return EcoLabel.hdx(ell) if ell < k - 2 else EcoLabel.num(h - 1)
+    return h + ell if ell < k - 2 else h - 2
+
+
+def _chain_label(p: int, h: int) -> EcoLabel:
+    """The label at chain position p."""
+    return EcoLabel.num(p + 1) if p < h else EcoLabel.hdx(p - h)
 
 
 def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
     """Succession-rule label of a path in the class.
 
-    Initial up-run of length t < h gives (t+1).  A full run t = h gives
-    (h_l) where l counts the valleys at height h-1 right after the run,
-    except that l = k-2 (the saturated case, the only one possible when
-    k = 2) gives (h-1): inserting a peak at ordinate h-1 would make a
-    run of k-1 valleys.
+    Initial up-run of length t < h gives (t+1), chain position t.  A full
+    run t = h gives (h_l), position h + l, where l counts the valleys at
+    height h-1 right after the run; the saturated case l = k-2 (the only
+    one possible when k = 2) wraps to (h-1), since inserting a peak at
+    ordinate h-1 would make a run of k-1 valleys.
     """
     params.require_eco_supported()
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
-    return _label(path.bits, 2 * path.semilength, params.h, params.k)
+    return _chain_label(_label(path.bits, 2 * path.semilength, params.h, params.k), params.h)
 
 
 def _grow(bits: int, n2: int, h: int, k: int) -> list[int]:
     """Bit patterns of the children of a class path of 2n steps, in site order.
 
-    Child p has a UD inserted before step p, for p = 0 .. the label's
-    child count - 1.  Child 0 is UD followed by the path.  Every site lies
-    on the initial up-run, so step p is a U and child p+1 is child p with
-    its inserted D moved one step right, past that U.
+    A path at chain position q has c = min(q+1, h) children.  Child i has a
+    UD inserted before step i, for i = 0 .. c-1.  Child 0 is UD followed by
+    the path.  Every site lies on the initial up-run, so step i is a U and
+    child i+1 is child i with its inserted D moved one step right, past
+    that U.
     """
     child = (0b10 << n2) | bits
     kids = [child]
-    for s in range(n2 - 1, n2 - _label(bits, n2, h, k).child_count(h), -1):
+    for s in range(n2 - 1, n2 - min(_label(bits, n2, h, k) + 1, h), -1):
         child ^= 0b11 << s
         kids.append(child)
     return kids
@@ -156,45 +172,23 @@ def invert_first_peak(path: DyckPath) -> DyckPath:
     return DyckPath((high << shift) | low, path.semilength - 1)
 
 
-def _successors(label: EcoLabel, params: ClassParams) -> list[EcoLabel]:
-    """Production of one label under the succession rule for (h, k)."""
-    h, k = params.h, params.k
-    if label.kind == "num":
-        l = label.index
-        if l == 1:
-            return [EcoLabel.num(2)]
-        if l < h:
-            return [EcoLabel.num(i) for i in range(2, l + 2)]
-        # l == h
-        if k >= 3:
-            return [EcoLabel.num(i) for i in range(2, h + 1)] + [EcoLabel.hdx(0)]
-        return (
-            [EcoLabel.num(i) for i in range(2, h)]
-            + [EcoLabel.num(h - 1), EcoLabel.num(h)]
-        )
-    j = label.index
-    if j < k - 3:
-        return [EcoLabel.num(i) for i in range(2, h + 1)] + [EcoLabel.hdx(j + 1)]
-    return (
-        [EcoLabel.num(i) for i in range(2, h)]
-        + [EcoLabel.num(h - 1), EcoLabel.num(h)]
-    )
-
-
-def _rule_steps(params: ClassParams, n: int) -> Iterator[Counter[EcoLabel]]:
-    """Label multiplicities after 0, 1, ..., n steps of the succession rule."""
+def _rule_steps(params: ClassParams, n: int) -> Iterator[list[int]]:
+    """Multiplicities by chain position after 0, 1, ..., n steps of the succession rule."""
     params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts: Counter[EcoLabel] = Counter({EcoLabel.num(1): 1})
-    yield counts
+    h = params.h
+    v = [1] + [0] * (h + params.k - 3)
+    yield v
     for _ in range(n):
-        nxt: Counter[EcoLabel] = Counter()
-        for label, mult in counts.items():
-            for succ in _successors(label, params):
-                nxt[succ] += mult
-        counts = nxt
-        yield counts
+        nxt = [0, *v[:-1]]  # each label's next label on the chain
+        nxt[h - 2] += v[-1]  # the last label's goes back to (h-1)
+        suffix = sum(v[h:])
+        for i in range(h - 1, 0, -1):  # (i+1) comes from every label at position >= i
+            suffix += v[i]
+            nxt[i] += suffix
+        v = nxt
+        yield v
 
 
 def rule_counts(params: ClassParams, n: int) -> LabelVector:
@@ -203,11 +197,11 @@ def rule_counts(params: ClassParams, n: int) -> LabelVector:
     Starts from one copy of the axiom (1); the total equals the number of
     class paths of semilength n.
     """
-    for counts in _rule_steps(params, n):
+    for v in _rule_steps(params, n):
         pass
-    return LabelVector(dict(counts))
+    return LabelVector({_chain_label(p, params.h): c for p, c in enumerate(v) if c})
 
 
 def rule_totals_upto(params: ClassParams, nmax: int) -> list[int]:
     """Succession-rule class counts for every semilength 0..nmax, in one sweep."""
-    return [sum(counts.values()) for counts in _rule_steps(params, nmax)]
+    return [sum(v) for v in _rule_steps(params, nmax)]

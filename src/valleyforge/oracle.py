@@ -17,7 +17,8 @@ from .paths import ClassParams, DyckPath, parse_path
 DEFAULT_CAP = 14
 
 
-def _check_cap(n: int, cap: int) -> None:
+def check_cap(n: int, cap: int) -> None:
+    """Refuse a negative semilength, or one above ``cap``, before any paths are listed."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:
@@ -26,7 +27,7 @@ def _check_cap(n: int, cap: int) -> None:
 
 def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
     """All unrestricted Dyck paths of semilength n, by prefix backtracking."""
-    _check_cap(n, cap)
+    check_cap(n, cap)
     out: list[DyckPath] = []
     word: list[str] = []
 
@@ -74,11 +75,11 @@ def _restricted_counts(h: int, k: int, nmax: int) -> list[int]:
 
 def brute_count(params: ClassParams, n: int, cap: int = DEFAULT_CAP) -> int:
     """Number of class paths of semilength n."""
-    _check_cap(n, cap)
+    check_cap(n, cap)
     return _restricted_counts(params.h, params.k, n)[n]
 
 
 def brute_counts_upto(params: ClassParams, nmax: int, cap: int = DEFAULT_CAP) -> list[int]:
     """Class counts for every semilength 0..nmax in a single sweep."""
-    _check_cap(nmax, cap)
+    check_cap(nmax, cap)
     return _restricted_counts(params.h, params.k, nmax)

@@ -171,21 +171,16 @@ class PolySystem:
 def build_S(h: int, k: int) -> IntPolynomial:
     """Denominator-family polynomial for height bound h and run bound k.
 
-    Heights 1..3 use the explicitly listed polynomials; from h = 4 on the
-    binomial double-sum formula applies (it reproduces the h = 3 case but
-    not the h = 2 one, so the listed value wins there).
+    The binomial double sum gives it for every h except h = 2, which is
+    listed: there the sum ends in -x^{k+1} where -x^k is right.
     """
     if h < 1 or k < 2:
         raise ValueError("need h >= 1 and k >= 2")
-    if h == 1:
-        return IntPolynomial([-1, 1])
     if h == 2:
         return IntPolynomial([-1, 2]) + IntPolynomial.monomial(k, -1)
-    if h == 3:
-        return IntPolynomial([1, -3, 1]) + IntPolynomial.monomial(k + 1, 1)
     terms: dict[int, int] = {}
     base = comb(h + 1, 2)
-    for j in range(h // 2 + 1 + (h % 2)):  # j = 0 .. floor((h+1)/2)
+    for j in range((h + 1) // 2 + 1):  # j = 0 .. floor((h+1)/2)
         terms[j] = terms.get(j, 0) + (-1) ** (base - j) * comb(h - j + 1, j)
     for j in range(1, h // 2 + 1):
         terms[k + j] = terms.get(k + j, 0) + (-1) ** (base - j + 1) * comb(

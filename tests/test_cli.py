@@ -173,6 +173,8 @@ class TestOddRouteOut:
         assert (code, out) == (1, "")
         assert err.startswith("disagreement at h=4 k=3 n=5:")
         assert err.endswith("; majority 41; rule differs by +1\n")
+        assert err == ("disagreement at h=4 k=3 n=5: eco=41 rule=42 series=41 brute=41; "
+                       "majority 41; rule differs by +1\n")
 
     def test_no_majority(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.ROUTES, "rule", _rule_off_by_one_at_nmax)

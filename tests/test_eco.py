@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,6 +192,34 @@ class TestRuleCounts:
         # At a fixed semilength, bit order is word order.
         assert [sorted(level) for level in levels(params, 8)] == [
             [p.bits for p in generate(params, n)] for n in range(9)]
+
+
+def _paper_successors(label: EcoLabel, h: int, k: int) -> list[EcoLabel]:
+    """The paper's four productions, written out label by label."""
+    num, hdx = EcoLabel.num, EcoLabel.hdx
+    full = [num(i) for i in range(2, h + 1)]
+    if label.kind == "num" and label.index < h:  # (l) -> (2) .. (l+1)
+        return [num(i) for i in range(2, label.index + 2)]
+    if label == num(h) and k >= 3:  # (h) -> (2) .. (h) (h_0)
+        return full + [hdx(0)]
+    if label.kind == "hdx" and label.index < k - 3:  # (h_j) -> (2) .. (h) (h_{j+1})
+        return full + [hdx(label.index + 1)]
+    return full + [num(h - 1)]  # (h_{k-3}), or (h) when k = 2 -> (2) .. (h) (h-1)
+
+
+class TestRuleAgainstPaperProductions:
+    @pytest.mark.parametrize("h,k", [(h, k) for k in range(2, 8)
+                                     for h in range(3 if k == 2 else 4, 10)])
+    def test_label_multiplicities(self, h, k):
+        params = ClassParams(h, k)
+        counts = Counter({EcoLabel.num(1): 1})
+        for n in range(41):
+            assert rule_counts(params, n).counts == counts, n
+            nxt: Counter[EcoLabel] = Counter()
+            for label, mult in counts.items():
+                for succ in _paper_successors(label, h, k):
+                    nxt[succ] += mult
+            counts = nxt
 
 
 SUPPORTED = [(h, k) for k in range(2, 7) for h in range(3 if k == 2 else 4, 8)]

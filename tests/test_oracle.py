@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valleyforge.eco import rule_counts
+from valleyforge.eco import rule_counts, rule_totals_upto
 from valleyforge.errors import CapExceeded
 from valleyforge.oracle import brute_count, brute_counts_upto, enumerate_dyck
 from valleyforge.paths import ClassParams, catalan, is_in_class
@@ -56,6 +56,7 @@ class TestBruteCount:
                 assert counts == list(f_series(params, order).coeffs), (h, k)
                 for n in (13, 100, order):
                     assert counts[n] == rule_counts(params, n).total(), (h, k, n)
+                assert rule_totals_upto(params, order) == counts, (h, k)
 
     @pytest.mark.parametrize("h,k", [(64, 5), (128, 3)])
     def test_agrees_with_series_at_large_h(self, h, k):
@@ -64,6 +65,7 @@ class TestBruteCount:
         assert brute_counts_upto(params, order, cap=order) == list(
             f_series(params, order).coeffs
         )
+        assert rule_totals_upto(params, order) == brute_counts_upto(params, order, cap=order)
 
     def test_upto_consistent(self):
         params = ClassParams(5, 3)

@@ -62,6 +62,11 @@ class TestBuildS:
         # 1 - 3x + x^2 + x^{k+1}
         assert build_S(3, 4) == IntPolynomial([1, -3, 1, 0, 0, 1])
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_h1_h3_every_k(self, k):
+        assert build_S(1, k) == IntPolynomial([-1, 1])
+        assert build_S(3, k) == IntPolynomial([1, -3, 1]) + IntPolynomial.monomial(k + 1, 1)
+
     def test_h4(self):
         # 1 - 4x + 3x^2 + x^{k+1} - x^{k+2}
         assert build_S(4, 3) == IntPolynomial([1, -4, 3, 0, 1, -1])
