@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, eco, identity, oracle, series
 from .errors import ValleyforgeError
-from .paths import ClassParams, height
+from .paths import ClassParams, catalan_upto, height
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +41,18 @@ ROUTES = {
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """Parse '4..7' or a single '4' into an inclusive (lo, hi) pair."""
+    """Parse '4..7' or a single '4' into an inclusive (lo, hi) pair.
+
+    An argparse type, so a range is read under the interpreter's limit on
+    integer digits, like every other integer on the command line.
+    """
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
     else:
         lo = hi = int(text)
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -151,11 +155,10 @@ def _cmd_series(args) -> int:
 def _cmd_identity(args) -> int:
     if not 4 <= args.h_min <= args.h_max:
         raise ValleyforgeError("need 4 <= h-min <= h-max")
-    records = []
-    for h in range(args.h_min, args.h_max + 1):
-        for n in range((h + 2) // 2, h):
-            expected, value = identity.catalan_recurrence_check(h, n)
-            records.append((h, n, expected, value, expected == value))
+    C = catalan_upto(args.h_max)
+    records = [(h, n, expected, value, expected == value)
+               for h in range(args.h_min, args.h_max + 1)
+               for n, expected, value in identity.catalan_recurrence_sweep(h, C)]
     _emit(args.format, records,
           lambda r: {"h": r[0], "n": r[1], "expected": str(r[2]), "recurrence": str(r[3]), "passed": r[4]},
           lambda r: f"h={r[0]} n={r[1]} expected={r[2]} recurrence={r[3]} {'ok' if r[4] else 'FAIL'}")
@@ -163,8 +166,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    h_lo, h_hi = _parse_range(args.h)
-    k_lo, k_hi = _parse_range(args.k)
+    (h_lo, h_hi), (k_lo, k_hi) = args.h, args.k
     cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
     for h, k in cells:
         ClassParams(h, k).require_eco_supported()
@@ -238,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("verify", parents=[common], help="four-route agreement grid")
-    p.add_argument("--h", required=True, help="height bound or range, e.g. 4..7")
-    p.add_argument("--k", required=True, help="run bound or range, e.g. 3..5")
+    p.add_argument("--h", type=_parse_range, required=True, help="height bound or range, e.g. 4..7")
+    p.add_argument("--k", type=_parse_range, required=True, help="run bound or range, e.g. 3..5")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_verify)
@@ -250,11 +252,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Counts may run to any length.  The limit is lifted only after argv is
+    # parsed, so a huge integer on the command line is still refused.
+    max_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValleyforgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(max_digits)
 
 
 if __name__ == "__main__":

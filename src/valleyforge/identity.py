@@ -2,6 +2,16 @@
 
 The headline result: for ceil((h+1)/2) <= n <= h the Catalan numbers obey a
 constant-coefficient recurrence whose weights are binomials in h alone.
+It is a window identity.  Dyck paths of height <= h have a rational
+generating function with denominator
+
+    q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j
+
+and a numerator of degree floor(h/2) (de Bruijn, Knuth and Rice, "The
+average height of planted plane trees", 1972; Flajolet, "Combinatorial
+aspects of continued fractions", Discrete Math. 32, 1980).  That series
+agrees with the Catalan series C(x) through x^h, so coefficients
+ceil((h+1)/2) .. h of C(x) q_h(x) vanish; the checks here take n <= h-1.
 The intermediate coefficient relation is checked against exact class
 counts supplied by any route (series engine or brute force).
 """
@@ -11,10 +21,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DomainViolation
-from .paths import catalan
+from .paths import catalan_upto
 
 
 @dataclass
@@ -88,6 +99,27 @@ def check_relation(
     return report
 
 
+def _recurrence_weights(h: int) -> list[int]:
+    """The weights (-1)^{j+1} binom(h+1-j, j) for j = 1 .. floor((h+1)/2)."""
+    return [(-1) ** (j + 1) * comb(h + 1 - j, j) for j in range(1, (h + 1) // 2 + 1)]
+
+
+def _recurrence_value(weights: list[int], C: Sequence[int], n: int) -> int:
+    """sum_j weights[j-1] * C_{n-j}, for n >= len(weights): no index runs below 0."""
+    return sum(map(mul, weights, C[n - 1::-1]))
+
+
+def catalan_recurrence_sweep(h: int, C: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(n, C_n, recurrence value) for every n with ceil((h+1)/2) <= n < h.
+
+    ``C`` is a Catalan table holding at least C_0 .. C_{h-1}, such as
+    ``catalan_upto(h_max)``, shared by every h of a sweep; the weights are
+    computed once for h.
+    """
+    weights = _recurrence_weights(h)
+    return [(n, C[n], _recurrence_value(weights, C, n)) for n in range((h + 2) // 2, h)]
+
+
 def catalan_recurrence_check(h: int, n: int) -> tuple[int, int]:
     """Catalan number vs its constant-coefficient recurrence value.
 
@@ -102,10 +134,8 @@ def catalan_recurrence_check(h: int, n: int) -> tuple[int, int]:
     lo = (h + 2) // 2  # ceil((h+1)/2)
     if not lo <= n < h:
         raise DomainViolation(f"need {lo} <= n < {h}, got n={n}")
-    value = 0
-    for j in range(1, (h + 1) // 2 + 1):
-        value += (-1) ** (j + 1) * comb(h + 1 - j, j) * catalan(n - j)
-    return catalan(n), value
+    C = catalan_upto(n)
+    return C[n], _recurrence_value(_recurrence_weights(h), C, n)
 
 
 def pascal_alternating_sum(m: int) -> int:

@@ -169,3 +169,13 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return comb(2 * n, n) // (n + 1)
+
+
+def catalan_upto(n: int) -> list[int]:
+    """Catalan numbers C_0..C_n from C_{m+1} = C_m * 2(2m+1) / (m+2), exactly."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    table = [1]
+    for m in range(n):
+        table.append(table[-1] * 2 * (2 * m + 1) // (m + 2))
+    return table

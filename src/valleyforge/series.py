@@ -265,20 +265,27 @@ def system_residuals(params: ClassParams, order: int) -> list[TruncatedSeries]:
     return out
 
 
-def closed_form_F(params: ClassParams, i: int, order: int) -> TruncatedSeries:
-    """Series expansion of the closed-form expression for F_i.
+def closed_form_numerator(params: ClassParams, i: int) -> IntPolynomial:
+    """N_i = sign * x^{i-1} * S(h+1-i, k), sign = (-1)^binom((h mod 2) + i + 3, 2).
 
-    F_i = sign * x^{i-1} * S(h+1-i, k) / S(h, k), with sign
-    (-1)^binom((h mod 2) + i + 3, 2).  The denominator has constant term
-    +-1, so exact long division yields integer coefficients.
+    F_i = N_i / S(h, k) for i = 1..h.
     """
     params.require_eco_supported()
     if not 1 <= i <= params.h:
         raise ValueError(f"i must be in 1..{params.h}")
     h, k = params.h, params.k
     sign = (-1) ** comb((h % 2) + i + 3, 2)
-    num = IntPolynomial.monomial(i - 1, sign) * build_S(h + 1 - i, k)
-    den = build_S(h, k)
+    return IntPolynomial.monomial(i - 1, sign) * build_S(h + 1 - i, k)
+
+
+def closed_form_F(params: ClassParams, i: int, order: int) -> TruncatedSeries:
+    """Series expansion of the closed-form expression N_i / S(h, k) for F_i.
+
+    The denominator has constant term +-1, so exact long division yields
+    integer coefficients.
+    """
+    num = closed_form_numerator(params, i)
+    den = build_S(params.h, params.k)
     d0 = den.coefficient(0)
     coeffs = [0] * (order + 1)
     for n in range(order + 1):

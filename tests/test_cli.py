@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import valleyforge
-from valleyforge import cli
+from valleyforge import cli, eco
 from valleyforge.cli import main
+from valleyforge.paths import ClassParams
 
 
 def run(capsys, *argv):
@@ -54,6 +55,20 @@ class TestCount:
                            "--method", "series", "--cross-check")
         assert code == 0
         assert out.strip() == "121"
+
+    def test_count_longer_than_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "count", "--h", "7", "--k", "5", "--n", "8000",
+                             "--method", "rule")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        expected = eco.rule_totals_upto(ClassParams(7, 5), 8000)[-1]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{expected}\n"
+            assert len(str(expected)) == 4383
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "count", "--h", "4", "--k", "3", "--n", "5",
@@ -121,6 +136,13 @@ class TestIdentity:
     def test_below_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "identity", "--h-min", "3", "--h-max", "3")
         assert code == 2
+
+    def test_h_up_to_400(self, capsys):
+        code, out, _ = run(capsys, "identity", "--h-min", "4", "--h-max", "400")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == sum(h - (h + 2) // 2 for h in range(4, 401)) == 39_799
+        assert all(line.endswith(" ok") for line in lines)
 
 
 class TestVerify:
@@ -240,6 +262,26 @@ class TestUsageErrors:
             main(["count", "--h", "4", "--k", "3", "--n", "2", "--method", "magic"])
         assert exc.value.code == 2
 
+    def test_empty_verify_range(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--h", "7..4", "--k", "3", "--n-max", "3"])
+        assert exc.value.code == 2
+        assert "argument --h: empty range '7..4'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--h", "4", "--k", "3", "--n", "4" * 5000, "--method", "rule"),
+        ("verify", "--h", "4" * 5000, "--k", "3", "--n-max", "3"),
+        ("verify", "--h", "4", "--k", "3.." + "4" * 5000, "--n-max", "3"),
+    ], ids=["count-n", "verify-h", "verify-k-range"])
+    def test_huge_integer_argument_refused(self, capsys, argv):
+        """The digit limit is lifted for output only, after argv is parsed."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert sys.get_int_max_str_digits() == limit
+
 
 def test_module_entry_point():
     env = dict(os.environ)
@@ -264,6 +306,7 @@ GOLDEN_COMMANDS = {
     "verify": ["verify", "--h", "4..5", "--k", "2..3", "--n-max", "6", "--jobs", "1"],
     "verify_grid": ["verify", "--h", "4..7", "--k", "3..5", "--n-max", "12", "--jobs", "1"],
     "generate_listing": ["generate", "--h", "7", "--k", "5", "--n", "12"],
+    "identity_deep": ["identity", "--h-min", "4", "--h-max", "160"],
 }
 
 # (command, format, exit code, stdout sha256, stdout bytes)
@@ -294,6 +337,9 @@ GOLDEN = [
     # 201,145 paths, each with its height and label
     ("generate_listing", "json", 0, "6451e7c558cc95567da01f1d29c4c5c40dfce347fcc651d21e3b3d08b4373328",
      13480864),
+    # 6,319 recurrence checks, h <= 160
+    ("identity_deep", "plain", 0, "ba19f9315d7b473c39e1615cfda991131a2e58664d421d9f7b9d35d2909ec58e",
+     807464),
 ]
 
 

@@ -7,13 +7,14 @@ from valleyforge.errors import DomainViolation
 from valleyforge.identity import (
     IdentityReport,
     catalan_recurrence_check,
+    catalan_recurrence_sweep,
     check_relation,
     lhs_coefficient_relation,
     pascal_alternating_sum,
     rhs_coefficient_relation,
 )
 from valleyforge.oracle import brute_count
-from valleyforge.paths import ClassParams, catalan
+from valleyforge.paths import ClassParams, catalan, catalan_upto
 from valleyforge.series import f_series
 
 
@@ -92,6 +93,24 @@ class TestCatalanRecurrence:
             catalan_recurrence_check(5, 2)
         with pytest.raises(DomainViolation):
             catalan_recurrence_check(5, 5)
+
+
+class TestCatalanSweep:
+    def test_table_matches_binomial_formula(self):
+        assert catalan_upto(500) == [catalan(m) for m in range(501)]
+
+    def test_table_domain(self):
+        assert catalan_upto(0) == [1]
+        with pytest.raises(ValueError):
+            catalan_upto(-1)
+
+    def test_rows_match_per_n_check(self):
+        C = catalan_upto(64)
+        for h in range(4, 65):
+            rows = catalan_recurrence_sweep(h, C)
+            assert [n for n, _, _ in rows] == list(range((h + 2) // 2, h)), h
+            for n, expected, value in rows:
+                assert (expected, value) == catalan_recurrence_check(h, n), (h, n)
 
 
 def test_recurrence_window_edges():

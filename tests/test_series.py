@@ -9,6 +9,7 @@ from valleyforge.series import (
     build_S,
     build_system,
     closed_form_F,
+    closed_form_numerator,
     f_series,
     solve_series,
     system_residuals,
@@ -154,6 +155,24 @@ class TestClosedForm:
         F = solve_series(params, 30)
         for i in range(1, h + 1):
             assert closed_form_F(params, i, 30) == F[i - 1], (h, k, i)
+
+    @pytest.mark.parametrize("h,ks", [(h, range(2, 12)) for h in range(3, 41)] + [(500, [7])],
+                             ids=[f"h{h}-k2..11" for h in range(3, 41)] + ["h500-k7"])
+    def test_solves_the_system_exactly(self, h, ks):
+        """A N = b S as polynomials, for every supported k in ``ks``.  A(0) is
+        invertible, so the power-series solution is unique and F_i = N_i / S
+        holds at every order."""
+        for params in (ClassParams(h, k) for k in ks):
+            if not params.eco_supported:
+                continue
+            system = build_system(params)
+            N = [closed_form_numerator(params, i) for i in range(1, h + 1)]
+            S = build_S(h, params.k)
+            for i, row in enumerate(system.matrix):
+                lhs = IntPolynomial()
+                for j, a in row.items():
+                    lhs = lhs + a * N[j]
+                assert lhs == system.rhs[i] * S, (h, params.k, i)
 
     def test_h4k3_component4_explicit(self):
         # x^3 (1 - x) / (1 - 4x + 3x^2 + x^4 - x^5), expanded by hand division
