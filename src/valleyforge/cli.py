@@ -23,20 +23,15 @@ from .paths import ClassParams, catalan_upto, height
 # counting routes
 
 
-def _eco_counts(params: ClassParams, nmax: int, cap: int) -> list[int]:
-    """ECO route: it lists every path, so the cap applies as for the oracle."""
-    oracle.check_cap(nmax, cap)
-    return [len(level) for level in eco.levels(params, nmax)]
-
-
-# Route name -> (params, nmax, cap) -> class counts for n = 0..nmax, each in
-# one sweep; the order is verify's column order.  Every route raises
-# ValueError for a negative nmax.
+# Route name -> (params, nmax) -> class counts for n = 0..nmax, each in one
+# sweep; the order is verify's column order.  Every route raises ValueError
+# for a negative nmax.  Only eco lists paths: the commands that run it check
+# the listing cap first.
 ROUTES = {
-    "eco": _eco_counts,
-    "rule": lambda params, nmax, cap: eco.rule_totals_upto(params, nmax),
-    "series": lambda params, nmax, cap: series.f_series(params, nmax).coeffs,
-    "brute": lambda params, nmax, cap: oracle.brute_counts_upto(params, nmax, cap=cap),
+    "eco": lambda params, nmax: [len(level) for level in eco.levels(params, nmax)],
+    "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
+    "series": lambda params, nmax: series.f_series(params, nmax).coeffs,
+    "brute": lambda params, nmax: oracle.brute_counts_upto(params, nmax),
 }
 
 
@@ -56,11 +51,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _verify_cell(job: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
+def _verify_cell(job: tuple[int, int, int]) -> list[tuple[int, ...]]:
     """The counts of every route, in ROUTES order, for one (h, k) cell and n = 0..nmax."""
-    h, k, nmax, cap = job
+    h, k, nmax = job
     params = ClassParams(h, k)
-    return list(zip(*(route(params, nmax, cap) for route in ROUTES.values())))
+    return list(zip(*(route(params, nmax) for route in ROUTES.values())))
 
 
 def _emit(fmt: str, items, record, line) -> None:
@@ -108,7 +103,9 @@ def _disagreement(counts: dict[str, int]) -> str:
 def _cmd_count(args) -> int:
     params = ClassParams(args.h, args.k)
     methods = ROUTES if args.cross_check else [args.method]
-    counts = {m: ROUTES[m](params, args.n, args.cap)[args.n] for m in methods}
+    if "eco" in methods:
+        oracle.check_cap(args.n, args.cap)
+    counts = {m: ROUTES[m](params, args.n)[args.n] for m in methods}
     if len(set(counts.values())) != 1:
         print(f"disagreement at h={args.h} k={args.k} n={args.n}: {_disagreement(counts)}",
               file=sys.stderr)
@@ -172,7 +169,7 @@ def _cmd_verify(args) -> int:
         ClassParams(h, k).require_eco_supported()
     oracle.check_cap(args.n_max, args.cap)
 
-    jobs = [(h, k, args.n_max, args.cap) for h, k in cells]
+    jobs = [(h, k, args.n_max) for h, k in cells]
     # Each worker is a process of its own, all started at once: never more
     # than there are cells or CPUs.
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
@@ -204,8 +201,9 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    common.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                        help="semilength cap for the brute and eco routes")
+    listing = argparse.ArgumentParser(add_help=False)
+    listing.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
+                         help="semilength cap for listing paths (the eco route and generate)")
 
     parser = argparse.ArgumentParser(prog="valleyforge",
                                      description="Counting and cross-verification of "
@@ -213,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="count paths by one route")
+    p = sub.add_parser("count", parents=[common, listing], help="count paths by one route")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -221,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("generate", parents=[common], help="list all paths of one size")
+    p = sub.add_parser("generate", parents=[common, listing], help="list all paths of one size")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -239,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-max", type=int, required=True)
     p.set_defaults(func=_cmd_identity)
 
-    p = sub.add_parser("verify", parents=[common], help="four-route agreement grid")
+    p = sub.add_parser("verify", parents=[common, listing], help="four-route agreement grid")
     p.add_argument("--h", type=_parse_range, required=True, help="height bound or range, e.g. 4..7")
     p.add_argument("--k", type=_parse_range, required=True, help="run bound or range, e.g. 3..5")
     p.add_argument("--n-max", type=int, required=True)

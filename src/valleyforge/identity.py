@@ -5,7 +5,7 @@ constant-coefficient recurrence whose weights are binomials in h alone.
 It is a window identity.  Dyck paths of height <= h have a rational
 generating function with denominator
 
-    q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j
+    q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j     (``paths.height_denominator``)
 
 and a numerator of degree floor(h/2) (de Bruijn, Knuth and Rice, "The
 average height of planted plane trees", 1972; Flajolet, "Combinatorial
@@ -25,7 +25,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DomainViolation
-from .paths import catalan_upto
+from .paths import catalan_upto, height_denominator
 
 
 @dataclass
@@ -57,19 +57,13 @@ class IdentityReport:
 
 
 def lhs_coefficient_relation(h: int, k: int, n: int, D: Sequence[int]) -> int:
-    """Alternating binomial-weighted sum of class counts D_{n-j}.
+    """Class counts weighted by q_h: (-1)^{binom(h+1, 2)} sum_j q_h[j] D_{n-j}.
 
     Terms with n - j < 0 contribute zero.  Only meaningful for n < h < k.
     """
     if not (0 <= n < h < k):
         raise DomainViolation(f"need 0 <= n < h < k, got n={n}, h={h}, k={k}")
-    base = comb(h + 1, 2)
-    total = 0
-    for j in range((h + 1) // 2 + 1):
-        if n - j < 0:
-            continue
-        total += D[n - j] * (-1) ** (base - j) * comb(h + 1 - j, j)
-    return total
+    return (-1) ** comb(h + 1, 2) * sum(map(mul, height_denominator(h), D[n::-1]))
 
 
 def rhs_coefficient_relation(h: int, n: int) -> int:
@@ -100,8 +94,8 @@ def check_relation(
 
 
 def _recurrence_weights(h: int) -> list[int]:
-    """The weights (-1)^{j+1} binom(h+1-j, j) for j = 1 .. floor((h+1)/2)."""
-    return [(-1) ** (j + 1) * comb(h + 1 - j, j) for j in range(1, (h + 1) // 2 + 1)]
+    """The weights -q_h[j] = (-1)^{j+1} binom(h+1-j, j) for j = 1 .. floor((h+1)/2)."""
+    return [-c for c in height_denominator(h)[1:]]
 
 
 def _recurrence_value(weights: list[int], C: Sequence[int], n: int) -> int:

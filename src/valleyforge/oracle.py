@@ -5,6 +5,8 @@ module is the independent oracle the other routes are checked against.
 ``enumerate_dyck`` filtered by ``is_in_class`` is the literal exhaustive
 certificate; the counts come from a transfer-matrix walk over the same
 prefix state a pruned backtracking search would carry (Stanley, EC1 §4.7).
+Only the enumeration lists paths, so only it takes the semilength cap; the
+DP is polynomial in n and runs to any n.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
     return out
 
 
-def _restricted_counts(h: int, k: int, nmax: int) -> list[int]:
+def brute_counts_upto(params: ClassParams, nmax: int) -> list[int]:
     """Class counts for every semilength 0..nmax, one step of the prefix at a time.
 
     A prefix state is (ordinate, last step was D, run), where run counts the
@@ -56,6 +58,9 @@ def _restricted_counts(h: int, k: int, nmax: int) -> list[int]:
     carried through a D from height h.  The count at semilength n is the
     number of prefixes of length 2n back on the axis.
     """
+    if nmax < 0:
+        raise ValueError("n must be >= 0")
+    h, k = params.h, params.k
     counts = [1] + [0] * nmax
     states = {(0, False, 0): 1}
     for step in range(1, 2 * nmax + 1):
@@ -73,13 +78,6 @@ def _restricted_counts(h: int, k: int, nmax: int) -> list[int]:
     return counts
 
 
-def brute_count(params: ClassParams, n: int, cap: int = DEFAULT_CAP) -> int:
+def brute_count(params: ClassParams, n: int) -> int:
     """Number of class paths of semilength n."""
-    check_cap(n, cap)
-    return _restricted_counts(params.h, params.k, n)[n]
-
-
-def brute_counts_upto(params: ClassParams, nmax: int, cap: int = DEFAULT_CAP) -> list[int]:
-    """Class counts for every semilength 0..nmax in a single sweep."""
-    check_cap(nmax, cap)
-    return _restricted_counts(params.h, params.k, nmax)
+    return brute_counts_upto(params, n)[n]

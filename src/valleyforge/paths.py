@@ -179,3 +179,14 @@ def catalan_upto(n: int) -> list[int]:
     for m in range(n):
         table.append(table[-1] * 2 * (2 * m + 1) // (m + 2))
     return table
+
+
+def height_denominator(h: int) -> list[int]:
+    """Coefficients of q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j, constant term first.
+
+    q_h is the denominator of the generating function of Dyck paths of height
+    <= h (de Bruijn, Knuth and Rice 1972); the list is empty for h < 0.
+    """
+    if h < 0:
+        return []
+    return [(-1) ** j * comb(h + 1 - j, j) for j in range((h + 1) // 2 + 1)]

@@ -1,6 +1,8 @@
 """Exact polynomial / power-series algebra for the class generating function.
 
-Builds the denominator polynomial family S, assembles the almost
+Builds the denominator polynomial family
+S(h, k) = (-1)^{binom(h+1, 2)} (q_h + x^{k+1} q_{h-3}) (h != 2) from the
+denominators q_h of height-bounded Dyck paths, assembles the almost
 tridiagonal linear system for the component series F_1..F_h, solves it
 order by order over the integers, and expands the single-variable
 generating function whose n-th coefficient counts the class paths of
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .paths import ClassParams
+from .paths import ClassParams, height_denominator
 
 
 class IntPolynomial:
@@ -171,25 +173,17 @@ class PolySystem:
 def build_S(h: int, k: int) -> IntPolynomial:
     """Denominator-family polynomial for height bound h and run bound k.
 
-    The binomial double sum gives it for every h except h = 2, which is
-    listed: there the sum ends in -x^{k+1} where -x^k is right.
+    S(h, k) = (-1)^{binom(h+1, 2)} (q_h + x^{k+1} q_{h-3}), q_h being the
+    denominator for Dyck paths of height <= h (``height_denominator``), for
+    every h except h = 2, which is listed: there the formula ends in
+    -x^{k+1} where -x^k is right.
     """
     if h < 1 or k < 2:
         raise ValueError("need h >= 1 and k >= 2")
     if h == 2:
         return IntPolynomial([-1, 2]) + IntPolynomial.monomial(k, -1)
-    terms: dict[int, int] = {}
-    base = comb(h + 1, 2)
-    for j in range((h + 1) // 2 + 1):  # j = 0 .. floor((h+1)/2)
-        terms[j] = terms.get(j, 0) + (-1) ** (base - j) * comb(h - j + 1, j)
-    for j in range(1, h // 2 + 1):
-        terms[k + j] = terms.get(k + j, 0) + (-1) ** (base - j + 1) * comb(
-            h - j - 1, j - 1
-        )
-    out = [0] * (max(terms) + 1)
-    for power, c in terms.items():
-        out[power] = c
-    return IntPolynomial(out)
+    tail = IntPolynomial([0] * (k + 1) + height_denominator(h - 3))
+    return (-1) ** comb(h + 1, 2) * (IntPolynomial(height_denominator(h)) + tail)
 
 
 def build_system(params: ClassParams) -> PolySystem:

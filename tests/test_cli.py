@@ -35,9 +35,11 @@ class TestCount:
         assert code == 2
         assert "error" in err
 
-    def test_cap_exceeded_exit_2(self, capsys):
-        code, _, _ = run(capsys, "count", "--h", "4", "--k", "3", "--n", "20", "--method", "brute")
-        assert code == 2
+    def test_brute_runs_past_the_listing_cap(self, capsys):
+        argv = ("count", "--h", "7", "--k", "5", "--n", "2000", "--method")
+        code, out, err = run(capsys, *argv, "brute")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *argv, "rule")[1]
 
     @pytest.mark.parametrize("argv", [
         ("count", "--method", "eco"),
@@ -172,8 +174,8 @@ class TestVerify:
             assert row["eco"] == row["rule"] == row["series"] == row["brute"] == want
 
 
-def _rule_off_by_one_at_nmax(params, nmax, cap):
-    counts = cli.ROUTES["brute"](params, nmax, cap)
+def _rule_off_by_one_at_nmax(params, nmax):
+    counts = cli.ROUTES["brute"](params, nmax)
     counts[nmax] += 1
     return counts
 
@@ -200,7 +202,7 @@ class TestOddRouteOut:
 
     def test_no_majority(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.ROUTES, "rule", _rule_off_by_one_at_nmax)
-        monkeypatch.setitem(cli.ROUTES, "series", lambda params, nmax, cap: [0] * (nmax + 1))
+        monkeypatch.setitem(cli.ROUTES, "series", lambda params, nmax: [0] * (nmax + 1))
         code, _, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "5",
                            "--method", "brute", "--cross-check")
         assert code == 1
@@ -267,6 +269,16 @@ class TestUsageErrors:
             main(["verify", "--h", "7..4", "--k", "3", "--n-max", "3"])
         assert exc.value.code == 2
         assert "argument --h: empty range '7..4'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "--h", "4", "--k", "3", "--order", "7", "--cap", "5"),
+        ("identity", "--h-min", "4", "--h-max", "9", "--cap", "5"),
+    ], ids=["series", "identity"])
+    def test_cap_only_where_paths_are_listed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ("count", "--h", "4", "--k", "3", "--n", "4" * 5000, "--method", "rule"),

@@ -6,6 +6,8 @@ import pytest
 from valleyforge.errors import DomainViolation
 from valleyforge.identity import (
     IdentityReport,
+    _recurrence_value,
+    _recurrence_weights,
     catalan_recurrence_check,
     catalan_recurrence_sweep,
     check_relation,
@@ -125,6 +127,19 @@ def test_recurrence_window_edges():
         assert all(gap(h, n) == 0 for n in range((h + 2) // 2, h + 1)), h
         assert gap(h, h // 2) != 0, h
         assert gap(h, h + 1) == 1, h  # the lone path U^{h+1} D^{h+1}
+
+
+def test_sweep_weights_at_the_window_end():
+    """The sweep's weights give C_h at n = h and miss C_{h+1} by exactly 1.
+
+    The weights of h - 1 also hold on the checked window n < h, but already
+    miss C_h by 1, so this is what tells h from h - 1.
+    """
+    C = catalan_upto(65)
+    for h in range(4, 65):
+        weights = _recurrence_weights(h)
+        assert _recurrence_value(weights, C, h) == C[h], h
+        assert C[h + 1] - _recurrence_value(weights, C, h + 1) == 1, h
 
 
 class TestPascal:

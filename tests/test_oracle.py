@@ -52,7 +52,7 @@ class TestBruteCount:
         for h in range(4, 8):
             for k in range(3, 6):
                 params = ClassParams(h, k)
-                counts = brute_counts_upto(params, order, cap=order)
+                counts = brute_counts_upto(params, order)
                 assert counts == list(f_series(params, order).coeffs), (h, k)
                 for n in (13, 100, order):
                     assert counts[n] == rule_counts(params, n).total(), (h, k, n)
@@ -62,10 +62,10 @@ class TestBruteCount:
     def test_agrees_with_series_at_large_h(self, h, k):
         params = ClassParams(h, k)
         order = 300
-        assert brute_counts_upto(params, order, cap=order) == list(
+        assert brute_counts_upto(params, order) == list(
             f_series(params, order).coeffs
         )
-        assert rule_totals_upto(params, order) == brute_counts_upto(params, order, cap=order)
+        assert rule_totals_upto(params, order) == brute_counts_upto(params, order)
 
     def test_upto_consistent(self):
         params = ClassParams(5, 3)
@@ -86,6 +86,8 @@ class TestBruteCount:
                 assert brute_count(ClassParams(h + 1, k), n) >= c
                 assert brute_count(ClassParams(h, k + 1), n) >= c
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            brute_count(ClassParams(4, 3), 15)
+    def test_no_listing_cap(self):
+        params = ClassParams(4, 3)
+        assert brute_count(params, 15) == rule_totals_upto(params, 15)[15]
+        with pytest.raises(ValueError):
+            brute_counts_upto(params, -1)
