@@ -14,7 +14,8 @@ multiplicities is therefore a shift along the chain plus suffix sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
@@ -51,16 +52,6 @@ class EcoLabel:
         if self.kind == "num":
             return f"({self.index})"
         return f"(h_{self.index})"
-
-
-@dataclass
-class LabelVector:
-    """Label multiplicities at a fixed semilength; total is the class count."""
-
-    counts: dict[EcoLabel, int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _up_run(bits: int, n2: int) -> int:
@@ -191,15 +182,15 @@ def _rule_steps(params: ClassParams, n: int) -> Iterator[list[int]]:
         yield v
 
 
-def rule_counts(params: ClassParams, n: int) -> LabelVector:
+def rule_counts(params: ClassParams, n: int) -> Counter[EcoLabel]:
     """Label multiplicities after n steps of the succession rule.
 
-    Starts from one copy of the axiom (1); the total equals the number of
-    class paths of semilength n.
+    Starts from one copy of the axiom (1); labels of multiplicity 0 are left
+    out, and ``total()`` equals the number of class paths of semilength n.
     """
     for v in _rule_steps(params, n):
         pass
-    return LabelVector({_chain_label(p, params.h): c for p, c in enumerate(v) if c})
+    return Counter({_chain_label(p, params.h): c for p, c in enumerate(v) if c})
 
 
 def rule_totals_upto(params: ClassParams, nmax: int) -> list[int]:

@@ -30,7 +30,7 @@ class UnsupportedParams(ValleyforgeError):
 
 
 class CapExceeded(ValleyforgeError):
-    """Requested semilength exceeds the brute-force enumeration cap."""
+    """Requested semilength exceeds the listing cap (ECO route, generate, enumerate_dyck)."""
 
 
 class DomainViolation(ValleyforgeError):

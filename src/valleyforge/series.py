@@ -38,10 +38,6 @@ class IntPolynomial:
         return IntPolynomial([0] * power + [coeff])
 
     @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial()
-
-    @staticmethod
     def one() -> "IntPolynomial":
         return IntPolynomial([1])
 
@@ -59,12 +55,6 @@ class IntPolynomial:
             self.coefficient(i) + other.coefficient(i) for i in range(n)
         )
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            self.coefficient(i) - other.coefficient(i) for i in range(n)
-        )
-
     def __mul__(self, other):  # noqa: ANN001 - polynomial or int
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)
@@ -80,19 +70,12 @@ class IntPolynomial:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 
     def to_json(self) -> list[str]:
         """JSON form: decimal-string coefficients, constant term first."""
         return [str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data: list[str]) -> "IntPolynomial":
-        return IntPolynomial(int(c) for c in data)
 
 
 class TruncatedSeries:
@@ -119,12 +102,6 @@ class TruncatedSeries:
             order, (self.coeffs[i] + other.coeffs[i] for i in range(order + 1))
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            order, (self.coeffs[i] - other.coeffs[i] for i in range(order + 1))
-        )
-
     def mul_poly(self, poly: IntPolynomial) -> "TruncatedSeries":
         out = [0] * (self.order + 1)
         for j, b in enumerate(poly.coeffs):
@@ -133,18 +110,12 @@ class TruncatedSeries:
                     out[n] += b * self.coeffs[n - j]
         return TruncatedSeries(self.order, out)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruncatedSeries)
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={list(self.coeffs)})"
@@ -209,7 +180,7 @@ def build_system(params: ClassParams) -> PolySystem:
     # geometric block 1 + x + ... + x^{k-3}; empty when k = 2
     geom = IntPolynomial([1] * (k - 2))
     matrix.append({h - 2: x, h - 1: IntPolynomial([-1, 1]) + IntPolynomial.monomial(2) * geom})
-    rhs = [one] + [IntPolynomial.zero()] * (h - 1)
+    rhs = [one] + [IntPolynomial()] * (h - 1)
     return PolySystem(matrix, rhs)
 
 
@@ -245,16 +216,16 @@ def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
     ]
 
 
-def system_residuals(params: ClassParams, order: int) -> list[TruncatedSeries]:
-    """A F - b for the order-by-order solution; every entry must vanish."""
+def system_residuals(params: ClassParams, order: int) -> list[list[int]]:
+    """Coefficients 0..order of each row of A F - b; every entry must vanish."""
     system = build_system(params)
     F = solve_series(params, order)
     out = []
-    for i in range(params.h):
-        acc = TruncatedSeries(order)
-        for j, a in system.matrix[i].items():
-            acc = acc + F[j].mul_poly(a)
-        acc = acc - TruncatedSeries(order, system.rhs[i].coeffs)
+    for row, b in zip(system.matrix, system.rhs):
+        acc = [-b.coefficient(n) for n in range(order + 1)]
+        for j, a in row.items():
+            for n, c in enumerate(F[j].mul_poly(a).coeffs):
+                acc[n] += c
         out.append(acc)
     return out
 

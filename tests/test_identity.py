@@ -1,18 +1,14 @@
-import json
-from math import comb
+from math import ceil, comb
 
 import pytest
 
 from valleyforge.errors import DomainViolation
 from valleyforge.identity import (
-    IdentityReport,
     _recurrence_value,
     _recurrence_weights,
-    catalan_recurrence_check,
     catalan_recurrence_sweep,
     check_relation,
     lhs_coefficient_relation,
-    pascal_alternating_sum,
     rhs_coefficient_relation,
 )
 from valleyforge.oracle import brute_count
@@ -47,6 +43,13 @@ class TestRhs:
     def test_h5_n3_full_row_vanishes(self):
         assert rhs_coefficient_relation(5, 3) == 0
 
+    def test_partial_row_sum_closed_form(self):
+        # sum_{t<=m} (-1)^t binom(N, t) = (-1)^m binom(N-1, m), N = h-n+1, m = min(n, N)
+        for h in range(1, 41):
+            for n in range(h):
+                sign = (-1) ** ((h + 1) // 2 + n)
+                assert rhs_coefficient_relation(h, n) == sign * comb(h - n, n), (h, n)
+
     def test_vanishes_on_recurrence_window(self):
         for h in range(4, 20):
             for n in range((h + 2) // 2, h):
@@ -61,40 +64,47 @@ class TestCheckRelation:
     @pytest.mark.parametrize("h,k", [(4, 6), (5, 7)])
     def test_passes_with_oracle(self, h, k):
         params = ClassParams(h, k)
-        report = check_relation(h, k, lambda n: brute_count(params, n))
-        assert report.passed
+        assert check_relation(h, k, lambda n: brute_count(params, n)) == []
 
     def test_passes_with_series(self):
         params = ClassParams(5, 7)
         fs = f_series(params, 5)
-        assert check_relation(5, 7, fs.coefficient).passed
+        assert check_relation(5, 7, fs.coefficient) == []
 
     def test_requires_h_below_k(self):
         with pytest.raises(DomainViolation):
             check_relation(5, 5, lambda n: 1)
 
-    def test_report_json(self):
-        report = IdentityReport(h=4, k=6, n_range=(0, 3), failures=[(1, 2, 3)])
-        data = json.loads(report.to_json())
-        assert data["passed"] is False
-        assert data["failures"] == [{"n": 1, "lhs": "2", "rhs": "3"}]
+    def test_failures_are_listed(self):
+        # D_1 off by one at h = 4 moves lhs at n = 1, 2, 3 (weights 1, -4, 3 of q_4)
+        failures = check_relation(4, 6, lambda n: catalan(n) + (n == 1))
+        assert [n for n, _, _ in failures] == [1, 2, 3]
+        for n, lhs, rhs in failures:
+            assert rhs == rhs_coefficient_relation(4, n) != lhs
+
+
+def _sweep_row(h, n):
+    """(C_n, recurrence value) from the sweep's row n for height h."""
+    return {m: (c, value) for m, c, value in catalan_recurrence_sweep(h, catalan_upto(h))}[n]
 
 
 class TestCatalanRecurrence:
     def test_h5_n3(self):
-        assert catalan_recurrence_check(5, 3) == (5, 5)
+        assert _sweep_row(5, 3) == (5, 5)
 
     def test_h5_n4(self):
-        assert catalan_recurrence_check(5, 4) == (14, 14)
+        assert _sweep_row(5, 4) == (14, 14)
 
     def test_h7_n4(self):
-        assert catalan_recurrence_check(7, 4) == (14, 14)
+        assert _sweep_row(7, 4) == (14, 14)
 
     def test_window_enforced(self):
-        with pytest.raises(DomainViolation):
-            catalan_recurrence_check(5, 2)
-        with pytest.raises(DomainViolation):
-            catalan_recurrence_check(5, 5)
+        # n = floor(h/2) and n = h are left out, whatever the table holds
+        C = catalan_upto(70)
+        assert [n for n, _, _ in catalan_recurrence_sweep(5, C)] == [3, 4]
+        for h in range(4, 65):
+            rows = catalan_recurrence_sweep(h, C)
+            assert [n for n, _, _ in rows] == list(range(ceil((h + 1) / 2), h)), h
 
 
 class TestCatalanSweep:
@@ -112,7 +122,7 @@ class TestCatalanSweep:
             rows = catalan_recurrence_sweep(h, C)
             assert [n for n, _, _ in rows] == list(range((h + 2) // 2, h)), h
             for n, expected, value in rows:
-                assert (expected, value) == catalan_recurrence_check(h, n), (h, n)
+                assert expected == value == catalan(n), (h, n)
 
 
 def test_recurrence_window_edges():
@@ -141,12 +151,3 @@ def test_sweep_weights_at_the_window_end():
         assert _recurrence_value(weights, C, h) == C[h], h
         assert C[h + 1] - _recurrence_value(weights, C, h + 1) == 1, h
 
-
-class TestPascal:
-    @pytest.mark.parametrize("m,expected", [(0, 1), (1, 0), (12, 0)])
-    def test_examples(self, m, expected):
-        assert pascal_alternating_sum(m) == expected
-
-    def test_zero_for_positive_rows(self):
-        for m in range(1, 41):
-            assert pascal_alternating_sum(m) == 0

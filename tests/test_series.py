@@ -27,15 +27,16 @@ class TestIntPolynomial:
 
     def test_arithmetic(self):
         x = IntPolynomial.monomial(1)
-        p = (x - IntPolynomial.one()) * (x + IntPolynomial.one())
+        p = (x + IntPolynomial([-1])) * (x + IntPolynomial.one())
         assert p == IntPolynomial([-1, 0, 1])
-        assert IntPolynomial() - p == IntPolynomial([1, 0, -1])
+        assert IntPolynomial() + -1 * p == IntPolynomial([1, 0, -1])
+        assert p + IntPolynomial([1, 0, -1]) == IntPolynomial()
         assert 3 * x == IntPolynomial([0, 3])
 
     def test_json_round_trip(self):
         p = IntPolynomial([1, -4, 3, 0, 1, -1])
         assert p.to_json() == ["1", "-4", "3", "0", "1", "-1"]
-        assert IntPolynomial.from_json(p.to_json()) == p
+        assert IntPolynomial(int(c) for c in p.to_json()) == p
 
 
 class TestTruncatedSeries:
@@ -138,10 +139,9 @@ class TestSolveSeries:
         for s in F[1:]:
             assert s.coefficient(0) == 0
 
-    @pytest.mark.parametrize("h,k", GRID + K2_GRID)
+    @pytest.mark.parametrize("h,k", GRID + K2_GRID + [(64, 5), (500, 7)])
     def test_residuals_vanish(self, h, k):
-        for r in system_residuals(ClassParams(h, k), 30):
-            assert r.is_zero()
+        assert system_residuals(ClassParams(h, k), 30) == [[0] * 31] * h
 
 
 class TestClosedForm:
