@@ -13,6 +13,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 from . import __version__, eco, identity, oracle, series
 from .errors import ValleyforgeError
@@ -58,14 +59,27 @@ def _verify_cell(job: tuple[int, int, int]) -> list[tuple[int, ...]]:
     return list(zip(*(route(params, nmax) for route in ROUTES.values())))
 
 
-def _emit(fmt: str, items, record, line) -> None:
-    """Print items in the requested form, computing only that form.
+# Records per write of a JSON array: bounds what _emit holds, and keeps the
+# writes few when stdout is a slow or hashing sink.
+JSON_BLOCK = 4096
 
+
+def _emit(fmt: str, items, record, line) -> None:
+    """Write items in the requested form as they come, computing only that form.
+
+    ``items`` is any iterable; it is read once and never held whole.
     plain: ``line(item)`` per item; json: one array of ``record(item)``
-    dicts; csv: a header row of the record keys, then one row per item.
+    dicts, written in blocks of up to JSON_BLOCK records and byte-identical
+    to ``json.dumps`` of the whole list; csv: a header row of the record
+    keys, then one row per item.
     """
     if fmt == "json":
-        print(json.dumps([record(item) for item in items]))
+        records = map(record, items)
+        sep = "["
+        while block := list(islice(records, JSON_BLOCK)):
+            sys.stdout.write(sep + json.dumps(block)[1:-1])
+            sep = ", "
+        sys.stdout.write("[]\n" if sep == "[" else "]\n")
     elif fmt == "csv":
         w = csv.writer(sys.stdout)
         for i, item in enumerate(items):
@@ -133,11 +147,17 @@ def _cmd_series(args) -> int:
     F = series.solve_series(params, args.order)
     fs = series.counting_series(params, F)
     if args.format == "json":
-        out: dict[str, object] = {"h": args.h, "k": args.k, "coefficients": fs.to_json()}
+        head = json.dumps({"h": args.h, "k": args.k, "coefficients": fs.to_json()})
         if args.show_components:
-            out["components"] = [s.to_json() for s in F]
-            out["denominator"] = series.build_S(args.h, args.k).to_json()
-        print(json.dumps(out))
+            # json.dumps of the object with "components" and "denominator"
+            # added, written one component at a time.
+            denominator = json.dumps(series.build_S(args.h, args.k).to_json())
+            sys.stdout.write(head[:-1] + ', "components": [')
+            for i, s in enumerate(F):
+                sys.stdout.write((", " if i else "") + json.dumps(s.to_json()))
+            print(f'], "denominator": {denominator}}}')
+        else:
+            print(head)
     elif args.format == "plain":
         print(" ".join(str(c) for c in fs.coeffs))
         if args.show_components:
@@ -153,13 +173,20 @@ def _cmd_identity(args) -> int:
     if not 4 <= args.h_min <= args.h_max:
         raise ValleyforgeError("need 4 <= h-min <= h-max")
     C = catalan_upto(args.h_max)
-    records = [(h, n, expected, value, expected == value)
-               for h in range(args.h_min, args.h_max + 1)
-               for n, expected, value in identity.catalan_recurrence_sweep(h, C)]
-    _emit(args.format, records,
+    failed = []
+
+    def rows():
+        for h in range(args.h_min, args.h_max + 1):
+            for n, expected, value in identity.catalan_recurrence_sweep(h, C):
+                ok = expected == value
+                if not ok:
+                    failed.append((h, n))
+                yield h, n, expected, value, ok
+
+    _emit(args.format, rows(),
           lambda r: {"h": r[0], "n": r[1], "expected": str(r[2]), "recurrence": str(r[3]), "passed": r[4]},
           lambda r: f"h={r[0]} n={r[1]} expected={r[2]} recurrence={r[3]} {'ok' if r[4] else 'FAIL'}")
-    return 0 if all(r[4] for r in records) else 1
+    return 1 if failed else 0
 
 
 def _cmd_verify(args) -> int:
@@ -179,19 +206,23 @@ def _cmd_verify(args) -> int:
     else:
         results = [_verify_cell(job) for job in jobs]
 
-    rows = []
-    for (h, k), cell_rows in zip(cells, results):
-        for n, row in enumerate(cell_rows):
-            counts = dict(zip(ROUTES, row))
-            ok = len(set(row)) == 1
-            if not ok:
-                print(f"MISMATCH h={h} k={k} n={n}: {_disagreement(counts)}", file=sys.stderr)
-            rows.append((h, k, n, counts, ok))
-    _emit(args.format, rows,
+    failed = []
+
+    def rows():
+        for (h, k), cell_rows in zip(cells, results):
+            for n, row in enumerate(cell_rows):
+                counts = dict(zip(ROUTES, row))
+                ok = len(set(row)) == 1
+                if not ok:
+                    failed.append((h, k, n))
+                    print(f"MISMATCH h={h} k={k} n={n}: {_disagreement(counts)}", file=sys.stderr)
+                yield h, k, n, counts, ok
+
+    _emit(args.format, rows(),
           lambda r: {"h": r[0], "k": r[1], "n": r[2],
                      **{name: str(c) for name, c in r[3].items()}, "agree": r[4]},
           lambda r: f"h={r[0]} k={r[1]} n={r[2]} {_route_columns(r[3])} {'ok' if r[4] else 'FAIL'}")
-    return 0 if all(r[4] for r in rows) else 1
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

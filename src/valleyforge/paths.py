@@ -15,7 +15,7 @@ from math import comb
 from .errors import BadSymbol, NegativePrefix, UnbalancedWord, UnsupportedParams
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class DyckPath:
     """Immutable balanced U/D step sequence with nonnegative prefixes.
 

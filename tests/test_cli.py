@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import valleyforge
-from valleyforge import cli, eco
+from valleyforge import cli, eco, identity, series
 from valleyforge.cli import main
 from valleyforge.paths import ClassParams
 
@@ -120,6 +121,16 @@ class TestSeries:
         assert code == 0
         assert out.strip() == "1 1 2 5 14 42"
 
+    def test_streamed_components_json_is_the_whole_object(self, capsys):
+        params = ClassParams(64, 5)
+        F = series.solve_series(params, 60)
+        whole = {"h": 64, "k": 5, "coefficients": series.counting_series(params, F).to_json(),
+                 "components": [s.to_json() for s in F],
+                 "denominator": series.build_S(64, 5).to_json()}
+        code, out, _ = run(capsys, "series", "--h", "64", "--k", "5", "--order", "60",
+                           "--show-components", "--format", "json")
+        assert (code, out) == (0, json.dumps(whole) + "\n")
+
 
 class TestIdentity:
     def test_full_range_passes(self, capsys):
@@ -138,6 +149,36 @@ class TestIdentity:
     def test_below_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "identity", "--h-min", "3", "--h-max", "3")
         assert code == 2
+
+    @pytest.fixture
+    def last_row_wrong(self, monkeypatch):
+        """The recurrence value of the last row of h = 9 is off by one."""
+        sweep = identity.catalan_recurrence_sweep
+
+        def broken(h, C):
+            rows = sweep(h, C)
+            if h == 9:
+                n, expected, value = rows[-1]
+                rows[-1] = (n, expected, value + 1)
+            return rows
+
+        monkeypatch.setattr(identity, "catalan_recurrence_sweep", broken)
+
+    def test_failure_plain(self, capsys, last_row_wrong):
+        code, out, _ = run(capsys, "identity", "--h-min", "4", "--h-max", "9")
+        lines = out.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.endswith(" FAIL")] == [lines[-1]]
+        assert lines[-1] == "h=9 n=8 expected=1430 recurrence=1431 FAIL"
+
+    def test_failure_json(self, capsys, last_row_wrong):
+        code, out, _ = run(capsys, "identity", "--h-min", "4", "--h-max", "9",
+                           "--format", "json")
+        records = json.loads(out)
+        assert code == 1
+        assert [r for r in records if not r["passed"]] == [records[-1]]
+        assert records[-1] == {"h": 9, "n": 8, "expected": "1430", "recurrence": "1431",
+                               "passed": False}
 
     def test_h_up_to_400(self, capsys):
         code, out, _ = run(capsys, "identity", "--h-min", "4", "--h-max", "400")
@@ -244,6 +285,43 @@ class TestVerifyJobs:
         assert out == run(capsys, *argv, "--jobs", "1")[1]
 
 
+class TestEmitJson:
+    B = cli.JSON_BLOCK
+
+    @pytest.mark.parametrize("n", [0, 1, B, B + 1, 2 * B + 1])
+    def test_bytes_of_one_dumps(self, capsys, n):
+        items = [{"i": i, "word": "UD" * (i % 3)} for i in range(n)]
+        cli._emit("json", items, lambda r: r, None)
+        assert capsys.readouterr().out == json.dumps(items) + "\n"
+
+    def test_writes_before_the_items_run_out(self, monkeypatch):
+        produced = 0
+
+        def items():
+            nonlocal produced
+            for i in range(3 * self.B):
+                produced += 1
+                yield i
+
+        class Out(io.StringIO):
+            """Notes how many items were produced at each write."""
+
+            def __init__(self):
+                super().__init__()
+                self.produced_at = []
+
+            def write(self, text):
+                self.produced_at.append(produced)
+                return super().write(text)
+
+        out = Out()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._emit("json", items(), lambda i: {"i": i}, None)
+        # one write per block, then the closing bracket
+        assert out.produced_at == [self.B, 2 * self.B, 3 * self.B, 3 * self.B]
+        assert out.getvalue() == json.dumps([{"i": i} for i in range(3 * self.B)]) + "\n"
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_output(self, capsys):
         outs = set()
@@ -295,16 +373,36 @@ class TestUsageErrors:
         assert sys.get_int_max_str_digits() == limit
 
 
-def test_module_entry_point():
+def _child_env():
+    """The environment for a child interpreter that imports this valleyforge."""
     env = dict(os.environ)
     src = str(Path(valleyforge.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
+    env = _child_env()
     base = [sys.executable, "-m", "valleyforge", "count", "--h", "4", "--k", "3", "--method", "brute"]
     ok = subprocess.run([*base, "--n", "5"], capture_output=True, text=True, env=env)
     assert (ok.returncode, ok.stdout.strip()) == (0, "41")
     bad = subprocess.run([*base, "--n", "-1"], capture_output=True, text=True, env=env)
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_listing_json_peak_rss():
+    """The 13.5 MB JSON listing of 201,145 paths is written, never held whole."""
+    child = ("import resource, sys\n"
+             "from valleyforge.cli import main\n"
+             "code = main(['generate', '--h', '7', '--k', '5', '--n', '12', '--format', 'json'])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120)
+    code, maxrss_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 96
 
 
 # Small-size commands whose stdout is pinned byte for byte in every format.

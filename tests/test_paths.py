@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +87,13 @@ class TestParse:
     @given(random_dyck_words())
     def test_round_trip(self, word):
         assert parse_path(word).word == word
+
+    def test_slotted_and_frozen(self):
+        """Listings hold ~200k paths: no per-instance dict, fields still read-only."""
+        p = parse_path("UUDD")
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            p.bits = 0
 
 
 class TestHeight:
