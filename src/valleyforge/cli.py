@@ -26,10 +26,11 @@ from .paths import ClassParams, catalan_upto, height
 
 # Route name -> (params, nmax) -> class counts for n = 0..nmax, each in one
 # sweep; the order is verify's column order.  Every route raises ValueError
-# for a negative nmax.  Only eco lists paths: the commands that run it check
-# the listing cap first.
+# for a negative nmax.  Only eco lists paths: it walks the ECO tree in blocks,
+# so its memory stays bounded but its time grows with the paths it builds,
+# and the commands that run it check the listing cap first.
 ROUTES = {
-    "eco": lambda params, nmax: [len(level) for level in eco.levels(params, nmax)],
+    "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
     "series": lambda params, nmax: series.f_series(params, nmax).coeffs,
     "brute": lambda params, nmax: oracle.brute_counts_upto(params, nmax),

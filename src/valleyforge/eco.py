@@ -2,8 +2,11 @@
 
 The growth operator inserts a UD peak at the active sites of a path, so
 that every path of semilength n+1 in the class is produced exactly once
-from a path of semilength n.  Label dynamics reproduce the same counts
-without touching any concrete path.
+from a path of semilength n.  :func:`walk` visits this ECO tree depth
+first, growing at most BLOCK parents at a time, so counting the tree
+(:func:`tree_totals_upto`) holds a few blocks per depth rather than whole
+levels; its time still grows with the number of paths.  Label dynamics
+reproduce the same counts without touching any concrete path.
 
 The labels (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain, and inside
 this module a label is its position p = 0 .. h+k-3 on it.  A label with
@@ -127,28 +130,59 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     return [DyckPath(bits, m) for bits in _grow(path.bits, 2 * path.semilength, params.h, params.k)]
 
 
-def levels(params: ClassParams, n: int) -> Iterator[list[int]]:
-    """The class paths of semilength 0, 1, ..., n as bit patterns, one level at a time.
+# Parents grown into one block of children: the walk holds about
+# BLOCK * h paths per depth, whatever n is.
+BLOCK = 1024
 
-    Level m lists the paths of semilength m, unsorted, as ints: U = 1, D = 0,
-    first step in the most significant of 2m bits.  No ``DyckPath`` is built.
+
+def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
+    """The class paths of semilength 0, 1, ..., n as bit patterns, in blocks, depth first.
+
+    Yields ``(m, block)`` pairs: ``block`` lists, as ints (U = 1, D = 0,
+    first step in the most significant of 2m bits), the children of at most
+    BLOCK paths of semilength m - 1, in site order.  A block is yielded
+    before the blocks below it, so the blocks at one depth, taken in walk
+    order, concatenate to the whole level in breadth-first order.  No
+    ``DyckPath`` is built.  Parameters are checked here, before the first
+    block.
     """
     params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
-    h, k = params.h, params.k
-    level = [EMPTY_PATH.bits]
-    yield level
-    for m in range(n):
-        level = [child for bits in level for child in _grow(bits, 2 * m, h, k)]
-        yield level
+    return _walk(params.h, params.k, n)
+
+
+def _walk(h: int, k: int, n: int) -> Iterator[tuple[int, list[int]]]:
+    root = [EMPTY_PATH.bits]
+    yield 0, root
+    # (depth, block, offset of the next parents to grow), deepest on top.
+    stack = [(0, root, 0)] if n else []
+    while stack:
+        m, block, start = stack.pop()
+        if start + BLOCK < len(block):
+            stack.append((m, block, start + BLOCK))
+        kids = [child for bits in block[start:start + BLOCK] for child in _grow(bits, 2 * m, h, k)]
+        yield m + 1, kids
+        if m + 1 < n:
+            stack.append((m + 1, kids, 0))
+
+
+def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
+    """ECO-tree class counts for every semilength 0..nmax: the block lengths summed per depth."""
+    totals = [0] * (nmax + 1)
+    for m, block in walk(params, nmax):
+        totals[m] += len(block)
+    return totals
 
 
 def generate(params: ClassParams, n: int) -> list[DyckPath]:
     """All class paths of semilength n, each exactly once, sorted by word."""
-    for level in levels(params, n):
-        pass
-    level = [DyckPath(bits, n) for bits in level]
+    # The bit patterns first: building paths inside the walk would hold the
+    # walk's blocks beside them.  The paths then go to sorted() through a
+    # generator, so no list of them is held beside sorted()'s own, and the
+    # bit-pattern list is let go before the sort keys are made.
+    level = [bits for m, block in walk(params, n) if m == n for bits in block]
+    level = (DyckPath(bits, n) for bits in level)
     return sorted(level, key=lambda p: p.word)
 
 

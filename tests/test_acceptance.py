@@ -28,7 +28,7 @@ def grid_counts():
     for h, k in GRID:
         params = ClassParams(h, k)
         routes = zip(
-            [len(level) for level in eco.levels(params, N_MAX)],
+            eco.tree_totals_upto(params, N_MAX),
             eco.rule_totals_upto(params, N_MAX),
             series.f_series(params, N_MAX).coeffs,
             oracle.brute_counts_upto(params, N_MAX),

@@ -11,6 +11,7 @@ import pytest
 import valleyforge
 from valleyforge import cli, eco, identity, series
 from valleyforge.cli import main
+from valleyforge.errors import UnsupportedParams
 from valleyforge.paths import ClassParams
 
 
@@ -215,6 +216,17 @@ class TestVerify:
             assert row["eco"] == row["rule"] == row["series"] == row["brute"] == want
 
 
+class TestRoutes:
+    @pytest.mark.parametrize("name", list(cli.ROUTES))
+    def test_negative_nmax_raises(self, name):
+        with pytest.raises(ValueError):
+            cli.ROUTES[name](ClassParams(4, 3), -1)
+
+    def test_eco_rejects_unsupported_params(self):
+        with pytest.raises(UnsupportedParams):
+            cli.ROUTES["eco"](ClassParams(3, 4), 2)
+
+
 def _rule_off_by_one_at_nmax(params, nmax):
     counts = cli.ROUTES["brute"](params, nmax)
     counts[nmax] += 1
@@ -391,18 +403,37 @@ def test_module_entry_point():
     assert bad.stderr.startswith("error:")
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_listing_json_peak_rss():
-    """The 13.5 MB JSON listing of 201,145 paths is written, never held whole."""
-    child = ("import resource, sys\n"
+def _child_peak_rss_mib(argv: list[str]) -> float:
+    """Peak RSS in MiB of ``main(argv)`` run in a fresh interpreter with stdout discarded.
+
+    Asserts that the command exits 0.  The peak is the child's ``VmHWM``
+    (Linux only), not its ``ru_maxrss``: after exec, Linux carries the
+    spawning process's high-water mark into ``ru_maxrss``, so a large test
+    process would be counted as the child's.
+    """
+    child = ("import sys\n"
              "from valleyforge.cli import main\n"
-             "code = main(['generate', '--h', '7', '--k', '5', '--n', '12', '--format', 'json'])\n"
-             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+             f"code = main({argv!r})\n"
+             "with open('/proc/self/status') as f:\n"
+             "    hwm_kib = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
+             "print(code, hwm_kib, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120)
-    code, maxrss_kib = map(int, proc.stderr.split())
+    code, hwm_kib = map(int, proc.stderr.split())
     assert code == 0
-    assert maxrss_kib / 1024 < 96
+    return hwm_kib / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc, on Linux only")
+def test_listing_json_peak_rss():
+    """The 13.5 MB JSON listing of 201,145 paths is written, never held whole."""
+    assert _child_peak_rss_mib(["generate", "--h", "7", "--k", "5", "--n", "12", "--format", "json"]) < 96
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc, on Linux only")
+def test_eco_count_peak_rss():
+    """The eco route counts the 704,317 paths at n = 13 in blocks, never holding a whole level."""
+    assert _child_peak_rss_mib(["count", "--h", "7", "--k", "5", "--n", "13", "--method", "eco"]) < 32
 
 
 # Small-size commands whose stdout is pinned byte for byte in every format.

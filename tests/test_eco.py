@@ -4,20 +4,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valleyforge.eco import (
+    BLOCK,
     EcoLabel,
     children,
     generate,
     invert_first_peak,
     label_of,
-    levels,
     rule_counts,
     rule_totals_upto,
+    tree_totals_upto,
+    walk,
 )
 from valleyforge.errors import EmptyPath, NotInClass, UnsupportedParams
 from valleyforge.oracle import brute_counts_upto, enumerate_dyck
 from valleyforge.paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class, parse_path
 
 H4K3 = ClassParams(4, 3)
+
+
+def walked_levels(params: ClassParams, n: int) -> list[list[int]]:
+    """The walk's blocks concatenated per depth, in walk order; checks every block's size."""
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    for m, block in walk(params, n):
+        assert len(block) <= BLOCK * params.h
+        out[m].extend(block)
+    return out
 
 
 @st.composite
@@ -190,8 +201,9 @@ class TestRuleCounts:
     def test_sweeps_match_per_n_counts(self, params):
         assert rule_totals_upto(params, 8) == [rule_counts(params, n).total() for n in range(9)]
         # At a fixed semilength, bit order is word order.
-        assert [sorted(level) for level in levels(params, 8)] == [
+        assert [sorted(level) for level in walked_levels(params, 8)] == [
             [p.bits for p in generate(params, n)] for n in range(9)]
+        assert tree_totals_upto(params, 8) == rule_totals_upto(params, 8)
 
 
 def _paper_successors(label: EcoLabel, h: int, k: int) -> list[EcoLabel]:
@@ -225,19 +237,44 @@ class TestRuleAgainstPaperProductions:
 SUPPORTED = [(h, k) for k in range(2, 7) for h in range(3 if k == 2 else 4, 8)]
 
 
+def _assert_each_level_is_children_of_the_previous(params: ClassParams, n: int) -> None:
+    previous = None
+    for m, level in enumerate(walked_levels(params, n)):
+        if m:
+            kids = [c for bits in previous for c in children(DyckPath(bits, m - 1), params)]
+            assert all(c.semilength == m for c in kids)
+            assert level == [c.bits for c in kids]
+        previous = level
+
+
 class TestLevels:
+    """The levels the walk's blocks make up, and the walk itself."""
+
     @pytest.mark.parametrize("h,k", SUPPORTED)
     def test_each_level_is_children_of_the_previous(self, h, k):
-        params = ClassParams(h, k)
-        previous = None
-        for m, level in enumerate(levels(params, 9)):
-            if m:
-                kids = [c for bits in previous for c in children(DyckPath(bits, m - 1), params)]
-                assert all(c.semilength == m for c in kids)
-                assert level == [c.bits for c in kids]
-            previous = level
+        _assert_each_level_is_children_of_the_previous(ClassParams(h, k), 9)
+
+    def test_levels_above_block_are_children_of_the_previous(self):
+        # (7, 5): levels 10, 11 and 12 hold 16,645, 57,685 and 201,145 paths.
+        _assert_each_level_is_children_of_the_previous(ClassParams(7, 5), 12)
 
     @pytest.mark.parametrize("h,k", [(h, k) for h in range(4, 8) for k in range(3, 6)])
     def test_level_sizes_match_dp_on_acceptance_grid(self, h, k):
         params = ClassParams(h, k)
-        assert [len(level) for level in levels(params, 12)] == brute_counts_upto(params, 12)
+        assert tree_totals_upto(params, 12) == brute_counts_upto(params, 12)
+
+    def test_blocks_come_depth_first(self):
+        depths = [m for m, _ in walk(ClassParams(7, 5), 12)]
+        assert depths.count(12) > 1
+        # A block above depth 12 is followed at once by its first child block.
+        assert all(b == a + 1 for a, b in zip(depths, depths[1:]) if a < 12)
+
+    def test_n0_is_the_root(self):
+        assert list(walk(H4K3, 0)) == [(0, [EMPTY_PATH.bits])]
+        assert tree_totals_upto(H4K3, 0) == [1]
+
+    def test_errors_are_raised_before_the_first_block(self):
+        with pytest.raises(ValueError):
+            walk(H4K3, -1)
+        with pytest.raises(UnsupportedParams):
+            walk(ClassParams(3, 4), 2)
