@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
 from . import __version__, eco, identity, oracle, series
@@ -147,22 +146,22 @@ def _cmd_series(args) -> int:
     params = ClassParams(args.h, args.k)
     F = series.solve_series(params, args.order)
     fs = series.counting_series(params, F)
+    denominator = [str(c) for c in series.build_S(args.h, args.k)]
     if args.format == "json":
         head = json.dumps({"h": args.h, "k": args.k, "coefficients": fs.to_json()})
         if args.show_components:
             # json.dumps of the object with "components" and "denominator"
             # added, written one component at a time.
-            denominator = json.dumps(series.build_S(args.h, args.k).to_json())
             sys.stdout.write(head[:-1] + ', "components": [')
             for i, s in enumerate(F):
                 sys.stdout.write((", " if i else "") + json.dumps(s.to_json()))
-            print(f'], "denominator": {denominator}}}')
+            print(f'], "denominator": {json.dumps(denominator)}}}')
         else:
             print(head)
     elif args.format == "plain":
         print(" ".join(str(c) for c in fs.coeffs))
         if args.show_components:
-            print(f"S({args.h},{args.k}) = {series.build_S(args.h, args.k).to_json()}")
+            print(f"S({args.h},{args.k}) = {denominator}")
             for i, s in enumerate(F, start=1):
                 print(f"F_{i} = {s.to_json()}")
     else:
@@ -191,6 +190,8 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValleyforgeError("need --jobs >= 1")
     (h_lo, h_hi), (k_lo, k_hi) = args.h, args.k
     cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
     for h, k in cells:
@@ -202,6 +203,9 @@ def _cmd_verify(args) -> int:
     # than there are cells or CPUs.
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_cell, jobs))
     else:

@@ -127,7 +127,7 @@ class TestSeries:
         F = series.solve_series(params, 60)
         whole = {"h": 64, "k": 5, "coefficients": series.counting_series(params, F).to_json(),
                  "components": [s.to_json() for s in F],
-                 "denominator": series.build_S(64, 5).to_json()}
+                 "denominator": [str(c) for c in series.build_S(64, 5)]}
         code, out, _ = run(capsys, "series", "--h", "64", "--k", "5", "--order", "60",
                            "--show-components", "--format", "json")
         assert (code, out) == (0, json.dumps(whole) + "\n")
@@ -288,13 +288,20 @@ class TestVerifyJobs:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         argv = ("verify", "--h", h_range, "--k", k_range, "--n-max", "5")
         code, out, _ = run(capsys, *argv, "--jobs", "100000")
         assert code == 0
         assert sizes == pools
         assert out == run(capsys, *argv, "--jobs", "1")[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--h", "4", "--k", "3", "--n-max", "5",
+                             "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--jobs" in err
 
 
 class TestEmitJson:
@@ -401,6 +408,15 @@ def test_module_entry_point():
     bad = subprocess.run([*base, "--n", "-1"], capture_output=True, text=True, env=env)
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:")
+
+
+def test_import_loads_no_process_pool():
+    """Only verify with more than one worker needs multiprocessing; importing the CLI loads none."""
+    child = ("import sys, valleyforge.cli\n"
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def _child_peak_rss_mib(argv: list[str]) -> float:

@@ -1,4 +1,5 @@
 from math import ceil, comb
+from operator import mul
 
 import pytest
 
@@ -11,8 +12,8 @@ from valleyforge.identity import (
     lhs_coefficient_relation,
     rhs_coefficient_relation,
 )
-from valleyforge.oracle import brute_count
-from valleyforge.paths import ClassParams, catalan, catalan_upto
+from valleyforge.oracle import brute_count, brute_counts_upto
+from valleyforge.paths import ClassParams, catalan, catalan_upto, height_denominator
 from valleyforge.series import f_series
 
 
@@ -70,6 +71,12 @@ class TestCheckRelation:
         params = ClassParams(5, 7)
         fs = f_series(params, 5)
         assert check_relation(5, 7, fs.coefficient) == []
+
+    def test_passes_past_h12(self):
+        for h in range(13, 41):
+            params = ClassParams(h, h + 1)
+            for counts in (brute_counts_upto(params, h - 1), f_series(params, h - 1).coeffs):
+                assert check_relation(h, h + 1, counts.__getitem__) == [], h
 
     def test_requires_h_below_k(self):
         with pytest.raises(DomainViolation):
@@ -151,3 +158,15 @@ def test_sweep_weights_at_the_window_end():
         assert _recurrence_value(weights, C, h) == C[h], h
         assert C[h + 1] - _recurrence_value(weights, C, h + 1) == 1, h
 
+
+
+def test_catalan_times_q_h_is_q_h_minus_1():
+    """C(x) q_h(x) = q_{h-1}(x) mod x^{h+1}: paths of height <= h have generating
+    function q_{h-1}/q_h, which agrees with C(x) through x^h.  The recurrence
+    window and the coefficient relation are both coefficients of this product."""
+    C = catalan_upto(400)
+    for h in range(1, 401):
+        q = height_denominator(h)
+        product = [sum(map(mul, q, C[n::-1])) for n in range(h + 1)]
+        expected = height_denominator(h - 1)
+        assert product == expected + [0] * (h + 1 - len(expected)), h
