@@ -31,22 +31,17 @@ def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
     """All unrestricted Dyck paths of semilength n, by prefix backtracking."""
     check_cap(n, cap)
     out: list[DyckPath] = []
-    word: list[str] = []
 
-    def extend(ups: int, downs: int) -> None:
-        if ups == n and downs == n:
-            out.append(parse_path("".join(word)))
+    def extend(prefix: str, ups: int, downs: int) -> None:
+        if downs == n:
+            out.append(parse_path(prefix))
             return
         if ups < n:
-            word.append("U")
-            extend(ups + 1, downs)
-            word.pop()
+            extend(prefix + "U", ups + 1, downs)
         if downs < ups:
-            word.append("D")
-            extend(ups, downs + 1)
-            word.pop()
+            extend(prefix + "D", ups, downs + 1)
 
-    extend(0, 0)
+    extend("", 0, 0)
     return out
 
 

@@ -61,14 +61,13 @@ class ClassParams:
     @property
     def eco_supported(self) -> bool:
         """True iff the ECO operator / succession rule applies to (h, k)."""
-        return (self.k == 2 and self.h >= 3) or (self.k >= 3 and self.h >= 4)
+        return self.h >= 3
 
     def require_eco_supported(self) -> None:
         """Raise UnsupportedParams unless the ECO routes and series apply."""
         if not self.eco_supported:
             raise UnsupportedParams(
-                f"(h={self.h}, k={self.k}) is outside the supported range: "
-                "need k=2 with h>=3, or k>=3 with h>=4"
+                f"(h={self.h}, k={self.k}) is outside the supported range: need h>=3"
             )
 
 

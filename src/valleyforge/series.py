@@ -141,10 +141,7 @@ def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
                     s -= a[0] * vec[j]
             vec[i] = s if row[i][0] == 1 else -s
         cols.append(vec)
-    return [
-        TruncatedSeries(order, (cols[n][i] for n in range(order + 1)))
-        for i in range(h)
-    ]
+    return [TruncatedSeries(order, col) for col in zip(*cols)]
 
 
 def system_residuals(params: ClassParams, order: int) -> list[list[int]]:
@@ -196,10 +193,8 @@ def counting_series(params: ClassParams, F: list[TruncatedSeries]) -> TruncatedS
     f = F_1 + ... + F_h + (x + x^2 + ... + x^{k-2}) F_h; the prefactor is
     zero when k = 2.
     """
-    acc = TruncatedSeries(F[0].order)
-    for s in F:
-        acc = acc + s
-    return acc + F[-1].mul_poly([0] + [1] * (params.k - 2))
+    parts = [s.coeffs for s in F] + [F[-1].mul_poly([0] + [1] * (params.k - 2)).coeffs]
+    return TruncatedSeries(F[0].order, map(sum, zip(*parts)))
 
 
 def f_series(params: ClassParams, order: int) -> TruncatedSeries:

@@ -224,7 +224,7 @@ class TestRoutes:
 
     def test_eco_rejects_unsupported_params(self):
         with pytest.raises(UnsupportedParams):
-            cli.ROUTES["eco"](ClassParams(3, 4), 2)
+            cli.ROUTES["eco"](ClassParams(2, 4), 2)
 
 
 def _rule_off_by_one_at_nmax(params, nmax):
@@ -462,6 +462,7 @@ GOLDEN_COMMANDS = {
     "identity": ["identity", "--h-min", "4", "--h-max", "9"],
     "verify": ["verify", "--h", "4..5", "--k", "2..3", "--n-max", "6", "--jobs", "1"],
     "verify_grid": ["verify", "--h", "4..7", "--k", "3..5", "--n-max", "12", "--jobs", "1"],
+    "verify_h3": ["verify", "--h", "3", "--k", "2..6", "--n-max", "12", "--jobs", "1"],
     "generate_listing": ["generate", "--h", "7", "--k", "5", "--n", "12"],
     "identity_deep": ["identity", "--h-min", "4", "--h-max", "160"],
 }
@@ -491,6 +492,8 @@ GOLDEN = [
     ("verify", "csv", 0, "d41826b88654efaa3f4a1886e53a82bb463cce30c3a77204e759fd6d16b20fc9", 659),
     # the acceptance grid, n <= 12
     ("verify_grid", "plain", 0, "2fe359307be292bb00095042a494ed2f62a34dc08ee1cc2be9b4736e076a5da0", 8232),
+    # h = 3 for every k, n <= 12
+    ("verify_h3", "plain", 0, "fc599c20faf46135a9ccc1ddef50776b06a30ef3723c61a44c07e58ca3f95202", 3348),
     # 201,145 paths, each with its height and label
     ("generate_listing", "json", 0, "6451e7c558cc95567da01f1d29c4c5c40dfce347fcc651d21e3b3d08b4373328",
      13480864),

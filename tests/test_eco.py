@@ -34,9 +34,7 @@ def walked_levels(params: ClassParams, n: int) -> list[list[int]]:
 @st.composite
 def supported_params(draw):
     """(h, k) pairs the ECO routes accept, with h <= 7 and k <= 6."""
-    k = draw(st.integers(2, 6))
-    h = draw(st.integers(3 if k == 2 else 4, 7))
-    return ClassParams(h, k)
+    return ClassParams(draw(st.integers(3, 7)), draw(st.integers(2, 6)))
 
 
 class TestLabelOf:
@@ -177,8 +175,8 @@ class TestRuleCounts:
         for n in range(9):
             assert rule_counts(H4K3, n).total() == len(generate(H4K3, n))
 
-    # k = 2, the saturated case, and (h_j) labels up to j = 3 at (4, 6).
-    @pytest.mark.parametrize("h,k", [(4, 3), (3, 2), (5, 2), (6, 5), (7, 5), (4, 6)])
+    # k = 2, the saturated case, h = 3 with (h_j) labels at (3, 5), and up to j = 3 at (4, 6).
+    @pytest.mark.parametrize("h,k", [(4, 3), (3, 2), (3, 5), (5, 2), (6, 5), (7, 5), (4, 6)])
     def test_label_histogram_matches_paths(self, h, k):
         params = ClassParams(h, k)
         for n in range(8):
@@ -195,7 +193,7 @@ class TestRuleCounts:
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedParams):
-            rule_counts(ClassParams(3, 4), 2)
+            rule_counts(ClassParams(2, 4), 2)
 
     @pytest.mark.parametrize("params", [H4K3, ClassParams(3, 2), ClassParams(6, 5)])
     def test_sweeps_match_per_n_counts(self, params):
@@ -220,8 +218,7 @@ def _paper_successors(label: EcoLabel, h: int, k: int) -> list[EcoLabel]:
 
 
 class TestRuleAgainstPaperProductions:
-    @pytest.mark.parametrize("h,k", [(h, k) for k in range(2, 8)
-                                     for h in range(3 if k == 2 else 4, 10)])
+    @pytest.mark.parametrize("h,k", [(h, k) for k in range(2, 8) for h in range(3, 10)])
     def test_label_multiplicities(self, h, k):
         params = ClassParams(h, k)
         counts = Counter({EcoLabel.num(1): 1})
@@ -234,7 +231,7 @@ class TestRuleAgainstPaperProductions:
             counts = nxt
 
 
-SUPPORTED = [(h, k) for k in range(2, 7) for h in range(3 if k == 2 else 4, 8)]
+SUPPORTED = [(h, k) for k in range(2, 7) for h in range(3, 8)]
 
 
 def _assert_each_level_is_children_of_the_previous(params: ClassParams, n: int) -> None:
@@ -277,4 +274,4 @@ class TestLevels:
         with pytest.raises(ValueError):
             walk(H4K3, -1)
         with pytest.raises(UnsupportedParams):
-            walk(ClassParams(3, 4), 2)
+            walk(ClassParams(2, 4), 2)

@@ -49,7 +49,7 @@ class TestBruteCount:
 
     def test_agrees_with_rule_and_series_to_order_500(self):
         order = 500
-        for h in range(4, 8):
+        for h in range(3, 8):
             for k in range(3, 6):
                 params = ClassParams(h, k)
                 counts = brute_counts_upto(params, order)
@@ -66,6 +66,14 @@ class TestBruteCount:
             f_series(params, order).coeffs
         )
         assert rule_totals_upto(params, order) == brute_counts_upto(params, order)
+
+    def test_agrees_with_rule_and_series_at_h3(self):
+        order = 300
+        for k in range(2, 41):
+            params = ClassParams(3, k)
+            counts = brute_counts_upto(params, order)
+            assert list(f_series(params, order).coeffs) == counts, k
+            assert rule_totals_upto(params, order) == counts, k
 
     def test_upto_consistent(self):
         params = ClassParams(5, 3)

@@ -206,7 +206,8 @@ class TestClassParams:
 
     @pytest.mark.parametrize(
         "h,k,expected",
-        [(3, 2, True), (2, 2, False), (4, 3, True), (3, 3, False), (4, 2, True), (5, 6, True)],
+        [(3, 2, True), (2, 2, False), (4, 3, True), (3, 3, True), (4, 2, True), (5, 6, True),
+         (1, 2, False), (1, 5, False), (2, 5, False)],
     )
     def test_eco_supported(self, h, k, expected):
         assert ClassParams(h, k).eco_supported is expected
