@@ -26,8 +26,9 @@ from .paths import ClassParams, catalan_upto, height
 # Route name -> (params, nmax) -> class counts for n = 0..nmax, each in one
 # sweep; the order is verify's column order.  Every route raises ValueError
 # for a negative nmax.  Only eco lists paths: it walks the ECO tree in blocks,
-# so its memory stays bounded but its time grows with the paths it builds,
-# and the commands that run it check the listing cap first.
+# building every path up to depth nmax-1 and counting depth nmax from their
+# labels, so its memory stays bounded but its time grows with the paths it
+# builds, and the commands that run it check the listing cap first.
 ROUTES = {
     "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
@@ -143,6 +144,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.show_components and args.format == "csv":
+        raise ValleyforgeError("--show-components has no csv form; use --format plain or json")
     params = ClassParams(args.h, args.k)
     F = series.solve_series(params, args.order)
     fs = series.counting_series(params, F)

@@ -5,8 +5,10 @@ that every path of semilength n+1 in the class is produced exactly once
 from a path of semilength n.  :func:`walk` visits this ECO tree depth
 first, growing at most BLOCK parents at a time, so counting the tree
 (:func:`tree_totals_upto`) holds a few blocks per depth rather than whole
-levels; its time still grows with the number of paths.  Label dynamics
-reproduce the same counts without touching any concrete path.
+levels.  The count builds every path up to depth n-1 and counts depth n
+from their labels, so its time grows with the paths above the last
+level.  Label dynamics reproduce the same counts without touching any
+concrete path.
 
 The labels (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain, and inside
 this module a label is its position p = 0 .. h+k-3 on it.  A label with
@@ -100,18 +102,22 @@ def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
     return _chain_label(_label(path.bits, 2 * path.semilength, params.h, params.k), params.h)
 
 
+def _child_count(bits: int, n2: int, h: int, k: int) -> int:
+    """Number of children of a class path of 2n steps: c = min(q+1, h) at chain position q."""
+    return min(_label(bits, n2, h, k) + 1, h)
+
+
 def _grow(bits: int, n2: int, h: int, k: int) -> list[int]:
     """Bit patterns of the children of a class path of 2n steps, in site order.
 
-    A path at chain position q has c = min(q+1, h) children.  Child i has a
-    UD inserted before step i, for i = 0 .. c-1.  Child 0 is UD followed by
-    the path.  Every site lies on the initial up-run, so step i is a U and
-    child i+1 is child i with its inserted D moved one step right, past
-    that U.
+    Child i has a UD inserted before step i, for i = 0 .. c-1, where c is
+    :func:`_child_count`.  Child 0 is UD followed by the path.  Every site
+    lies on the initial up-run, so step i is a U and child i+1 is child i
+    with its inserted D moved one step right, past that U.
     """
     child = (0b10 << n2) | bits
     kids = [child]
-    for s in range(n2 - 1, n2 - min(_label(bits, n2, h, k) + 1, h), -1):
+    for s in range(n2 - 1, n2 - _child_count(bits, n2, h, k), -1):
         child ^= 0b11 << s
         kids.append(child)
     return kids
@@ -168,10 +174,21 @@ def _walk(h: int, k: int, n: int) -> Iterator[tuple[int, list[int]]]:
 
 
 def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
-    """ECO-tree class counts for every semilength 0..nmax: the block lengths summed per depth."""
+    """ECO-tree class counts for every semilength 0..nmax.
+
+    The walk builds every class path up to depth nmax-1 and sums the block
+    lengths per depth.  Depth nmax is not built: its count is the sum of
+    the child counts of the paths at depth nmax-1, read from their bits.
+    """
+    if nmax <= 0:  # the root alone, or walk's ValueError
+        return [len(block) for _, block in walk(params, nmax)]
+    h, k, last = params.h, params.k, nmax - 1
     totals = [0] * (nmax + 1)
-    for m, block in walk(params, nmax):
+    for m, block in walk(params, last):
         totals[m] += len(block)
+        if m == last:
+            n2 = 2 * m
+            totals[nmax] += sum(_child_count(bits, n2, h, k) for bits in block)
     return totals
 
 

@@ -132,6 +132,12 @@ class TestSeries:
                            "--show-components", "--format", "json")
         assert (code, out) == (0, json.dumps(whole) + "\n")
 
+    def test_components_have_no_csv_form(self, capsys):
+        code, out, err = run(capsys, "series", "--h", "4", "--k", "3", "--order", "7",
+                             "--show-components", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--format" in err
+
 
 class TestIdentity:
     def test_full_range_passes(self, capsys):
@@ -448,7 +454,7 @@ def test_listing_json_peak_rss():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc, on Linux only")
 def test_eco_count_peak_rss():
-    """The eco route counts the 704,317 paths at n = 13 in blocks, never holding a whole level."""
+    """The eco route counts the 704,317 paths at n = 13 from the blocks at n = 12, in bounded memory."""
     assert _child_peak_rss_mib(["count", "--h", "7", "--k", "5", "--n", "13", "--method", "eco"]) < 32
 
 
@@ -480,7 +486,8 @@ GOLDEN = [
     ("generate_n0", "csv", 0, "715ddc8c1100fbc572c2063f7b945b6aaad56cbd05e6e0f54c93d6ee75935458", 27),
     ("series_components", "plain", 0, "d77aed0aeaf7ac6bfc92cafe65752147767564cdba4a9a9987f9c71cf8872412", 262),
     ("series_components", "json", 0, "bcf824e3d4af031220974bb747bed9b5ec2402ecd322d5dbd63488011b1f45aa", 324),
-    ("series_components", "csv", 0, "345c55e9cc63b913e16ffffcd15613c3caf1e343b049490e683d6a72e49b75d7", 61),
+    # the components have no CSV form: exit 2, nothing on stdout
+    ("series_components", "csv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("series_k2", "plain", 0, "a1e5f44b7e44b3987a5d0adae4ca57e59e4eb95e263fc38919978386741cb635", 27),
     ("series_k2", "json", 0, "1b6090d3cfa67e6097c1641d0f2020c204ebf09211c47ae2a1b5f06790f134b8", 89),
     ("series_k2", "csv", 0, "dac8cdbbe22935cd3df9a4453ef1be66057242224b39eae9af10d13bd4117fd5", 69),

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from valleyforge import eco
 from valleyforge.eco import (
     BLOCK,
     EcoLabel,
@@ -275,3 +276,34 @@ class TestLevels:
             walk(H4K3, -1)
         with pytest.raises(UnsupportedParams):
             walk(ClassParams(2, 4), 2)
+
+
+class TestTreeTotals:
+    """tree_totals_upto counts the last depth from its parents' labels, without building it."""
+
+    @pytest.mark.parametrize("h,k,nmax", [(h, k, 9) for h, k in SUPPORTED] + [(7, 5, 12)])
+    def test_leaf_count_equals_the_built_level(self, h, k, nmax):
+        params = ClassParams(h, k)
+        for n in range(nmax + 1):
+            assert tree_totals_upto(params, n) == [len(level) for level in walked_levels(params, n)]
+
+    @pytest.mark.parametrize("h,k", [(4, 3), (7, 5)])
+    def test_matches_dp_at_the_cap(self, h, k):
+        params = ClassParams(h, k)
+        assert tree_totals_upto(params, 14) == brute_counts_upto(params, 14)
+
+    def test_small_nmax(self):
+        assert tree_totals_upto(H4K3, 0) == [1]
+        assert tree_totals_upto(H4K3, 1) == [1, 1]
+
+    @pytest.mark.parametrize("nmax", [-1, 0, 1, 5])
+    def test_errors_are_raised_before_any_work(self, monkeypatch, nmax):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(eco, "_walk", no_walk)
+        with pytest.raises(UnsupportedParams):
+            tree_totals_upto(ClassParams(2, 4), nmax)
+        if nmax < 0:
+            with pytest.raises(ValueError):
+                tree_totals_upto(H4K3, nmax)
