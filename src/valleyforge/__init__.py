@@ -14,7 +14,6 @@ from .errors import (
     NegativePrefix,
     NotInClass,
     UnbalancedWord,
-    UnsupportedParams,
     ValleyforgeError,
 )
 from .paths import (
@@ -41,7 +40,6 @@ __all__ = [
     "NegativePrefix",
     "NotInClass",
     "UnbalancedWord",
-    "UnsupportedParams",
     "ValleyforgeError",
     "catalan",
     "height",

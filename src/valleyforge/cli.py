@@ -24,11 +24,14 @@ from .paths import ClassParams, catalan_upto, height
 
 
 # Route name -> (params, nmax) -> class counts for n = 0..nmax, each in one
-# sweep; the order is verify's column order.  Every route raises ValueError
-# for a negative nmax.  Only eco lists paths: it walks the ECO tree in blocks,
-# building every path up to depth nmax-1 and counting depth nmax from their
-# labels, so its memory stays bounded but its time grows with the paths it
-# builds, and the commands that run it check the listing cap first.
+# sweep; the order is verify's column order.  Every route answers every
+# (h, k) and raises ValueError for a negative nmax.  The entries are lambdas
+# that look their function up in its module at call time, so perfbench's
+# tracer and the tests' monkeypatches, which replace module attributes, see
+# the calls.  Only eco lists paths: it walks the ECO tree in blocks, building
+# every path up to depth nmax-1 and counting depth nmax from their labels, so
+# its memory stays bounded but its time grows with the paths it builds, and
+# the commands that run it check the listing cap first.
 ROUTES = {
     "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
@@ -196,9 +199,8 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValleyforgeError("need --jobs >= 1")
     (h_lo, h_hi), (k_lo, k_hi) = args.h, args.k
+    ClassParams(h_lo, k_lo)  # the lowest bounds: refuses a bad grid before any worker starts
     cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
-    for h, k in cells:
-        ClassParams(h, k).require_eco_supported()
     oracle.check_cap(args.n_max, args.cap)
 
     jobs = [(h, k, args.n_max) for h, k in cells]

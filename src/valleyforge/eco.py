@@ -10,11 +10,12 @@ from their labels, so its time grows with the paths above the last
 level.  Label dynamics reproduce the same counts without touching any
 concrete path.
 
-The labels (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain, and inside
-this module a label is its position p = 0 .. h+k-3 on it.  A label with
-c = min(p+1, h) children produces (2), ..., (c) and the next label on the
-chain; the last one goes back to (h-1).  One rule step on the h+k-2
-multiplicities is therefore a shift along the chain plus suffix sums.
+The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain, and
+inside this module a label is its position p = -1 .. h+k-3 on it.  A label
+with c = min(p+1, h) children produces (2), ..., (c) and the next label on
+the chain; the last one goes back to (h-1), which at h = 1 is (0), a label
+with no children.  One rule step on the h+k-1 multiplicities is therefore
+a shift along the chain plus suffix sums.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class
 
 @dataclass(frozen=True)
 class EcoLabel:
-    """Succession-rule label: numeric (1)..(h) or indexed (h_0)..(h_{k-3}).
+    """Succession-rule label: numeric (0)..(h) or indexed (h_0)..(h_{k-3}).
 
     ``kind`` is "num" or "hdx"; ``index`` is l for (l) and j for (h_j).
     A path labelled (l) has exactly l children; one labelled (h_j) has h.
@@ -69,7 +70,7 @@ def _label(bits: int, n2: int, h: int, k: int) -> int:
 
     No checks.  An initial up-run t < h gives t, a full run followed by l < k-2
     valleys at height h-1 gives h + l, and the saturated run wraps to
-    h - 2, the position of (h-1).
+    h - 2, the position of (h-1), which is (0) at h = 1.
     """
     t = _up_run(bits, n2)
     if t < h:
@@ -94,9 +95,9 @@ def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
     run t = h gives (h_l), position h + l, where l counts the valleys at
     height h-1 right after the run; the saturated case l = k-2 (the only
     one possible when k = 2) wraps to (h-1), since inserting a peak at
-    ordinate h-1 would make a run of k-1 valleys.
+    ordinate h-1 would make a run of k-1 valleys.  At h = 1 that label
+    is (0).
     """
-    params.require_eco_supported()
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
     return _chain_label(_label(path.bits, 2 * path.semilength, params.h, params.k), params.h)
@@ -104,7 +105,8 @@ def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
 
 def _child_count(bits: int, n2: int, h: int, k: int) -> int:
     """Number of children of a class path of 2n steps: c = min(q+1, h) at chain position q."""
-    return min(_label(bits, n2, h, k) + 1, h)
+    c = _label(bits, n2, h, k) + 1  # a conditional, not min(): this runs once per tree node
+    return c if c < h else h
 
 
 def _grow(bits: int, n2: int, h: int, k: int) -> list[int]:
@@ -113,11 +115,13 @@ def _grow(bits: int, n2: int, h: int, k: int) -> list[int]:
     Child i has a UD inserted before step i, for i = 0 .. c-1, where c is
     :func:`_child_count`.  Child 0 is UD followed by the path.  Every site
     lies on the initial up-run, so step i is a U and child i+1 is child i
-    with its inserted D moved one step right, past that U.
+    with its inserted D moved one step right, past that U.  A path with
+    label (0) has no child.
     """
+    c = _child_count(bits, n2, h, k)
     child = (0b10 << n2) | bits
-    kids = [child]
-    for s in range(n2 - 1, n2 - _child_count(bits, n2, h, k), -1):
+    kids = [child] if c else []
+    for s in range(n2 - 1, n2 - c, -1):
         child ^= 0b11 << s
         kids.append(child)
     return kids
@@ -126,8 +130,8 @@ def _grow(bits: int, n2: int, h: int, k: int) -> list[int]:
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     """Paths of semilength n+1 produced from ``path`` by the growth operator.
 
-    Precondition: ``params`` is ECO-supported and ``path`` is in its class;
-    neither is checked here (:func:`label_of` checks both).  Active sites
+    Precondition: ``path`` is in the class of ``params``; that is not
+    checked here (:func:`label_of` checks it).  Active sites
     sit along the initial up-run, one per child the label allows; children
     are emitted in increasing ordinate of the insertion point, so the list
     order is deterministic.
@@ -152,7 +156,6 @@ def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
     ``DyckPath`` is built.  Parameters are checked here, before the first
     block.
     """
-    params.require_eco_supported()
     if n < 0:
         raise ValueError("n must be >= 0")
     return _walk(params.h, params.k, n)
@@ -215,18 +218,20 @@ def invert_first_peak(path: DyckPath) -> DyckPath:
 
 
 def _rule_steps(params: ClassParams, n: int) -> Iterator[list[int]]:
-    """Multiplicities by chain position after 0, 1, ..., n steps of the succession rule."""
-    params.require_eco_supported()
+    """Multiplicities after 0, 1, ..., n steps of the succession rule.
+
+    Entry p+1 holds chain position p, so entry i holds (i) for i <= h.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     h = params.h
-    v = [1] + [0] * (h + params.k - 3)
+    v = [0, 1] + [0] * (h + params.k - 3)
     yield v
     for _ in range(n):
-        nxt = [0, *v[:-1]]  # each label's next label on the chain
-        nxt[h - 2] += v[-1]  # the last label's goes back to (h-1)
-        suffix = sum(v[h:])
-        for i in range(h - 1, 0, -1):  # (i+1) comes from every label at position >= i
+        nxt = [0, 0, *v[1:-1]]  # each label's next label on the chain; (0) has none
+        nxt[h - 1] += v[-1]  # the last label's goes back to (h-1)
+        suffix = sum(v[h + 1:])
+        for i in range(h, 1, -1):  # (i) comes from every label at entry >= i
             suffix += v[i]
             nxt[i] += suffix
         v = nxt
@@ -241,7 +246,7 @@ def rule_counts(params: ClassParams, n: int) -> Counter[EcoLabel]:
     """
     for v in _rule_steps(params, n):
         pass
-    return Counter({_chain_label(p, params.h): c for p, c in enumerate(v) if c})
+    return Counter({_chain_label(p, params.h): c for p, c in enumerate(v, -1) if c})
 
 
 def rule_totals_upto(params: ClassParams, nmax: int) -> list[int]:

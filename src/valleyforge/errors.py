@@ -25,10 +25,6 @@ class NotInClass(ValleyforgeError):
     """Path violates the height or valley-run constraint of the class."""
 
 
-class UnsupportedParams(ValleyforgeError):
-    """The (h, k) pair is outside the range supported by this algorithm."""
-
-
 class CapExceeded(ValleyforgeError):
     """Requested semilength exceeds the listing cap (ECO route, generate, enumerate_dyck)."""
 

@@ -30,9 +30,12 @@ def lhs_coefficient_relation(h: int, k: int, n: int, D: Sequence[int]) -> int:
     """Class counts weighted by q_h: (-1)^{binom(h+1, 2)} sum_j q_h[j] D_{n-j}.
 
     Terms with n - j < 0 contribute zero.  Only meaningful for n < h < k.
+    ``D`` holds the counts D_0 .. D_n at least.
     """
     if not (0 <= n < h < k):
         raise DomainViolation(f"need 0 <= n < h < k, got n={n}, h={h}, k={k}")
+    if len(D) <= n:
+        raise DomainViolation(f"need the counts D_0..D_{n}, got {len(D)}")
     return (-1) ** comb(h + 1, 2) * sum(map(mul, height_denominator(h), D[n::-1]))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BadSymbol, NegativePrefix, UnbalancedWord, UnsupportedParams
+from .errors import BadSymbol, NegativePrefix, UnbalancedWord
 
 
 @dataclass(frozen=True, order=False, slots=True)
@@ -57,18 +57,6 @@ class ClassParams:
             raise ValueError(f"h must be >= 1, got {self.h}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-
-    @property
-    def eco_supported(self) -> bool:
-        """True iff the ECO operator / succession rule applies to (h, k)."""
-        return self.h >= 3
-
-    def require_eco_supported(self) -> None:
-        """Raise UnsupportedParams unless the ECO routes and series apply."""
-        if not self.eco_supported:
-            raise UnsupportedParams(
-                f"(h={self.h}, k={self.k}) is outside the supported range: need h>=3"
-            )
 
 
 def parse_path(word: str) -> DyckPath:
@@ -184,8 +172,8 @@ def height_denominator(h: int) -> list[int]:
     """Coefficients of q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j, constant term first.
 
     q_h is the denominator of the generating function of Dyck paths of height
-    <= h (de Bruijn, Knuth and Rice 1972); the list is empty for h < 0.
+    <= h (de Bruijn, Knuth and Rice 1972).  The sum also gives the values the
+    three-term recurrence q_h = q_{h-1} - x q_{h-2} takes below h = 0
+    (Flajolet 1980): q_{-1} = 1 and q_{-2} = 0, the empty list.
     """
-    if h < 0:
-        return []
     return [(-1) ** j * comb(h + 1 - j, j) for j in range((h + 1) // 2 + 1)]

@@ -11,7 +11,6 @@ import pytest
 import valleyforge
 from valleyforge import cli, eco, identity, series
 from valleyforge.cli import main
-from valleyforge.errors import UnsupportedParams
 from valleyforge.paths import ClassParams
 
 
@@ -32,10 +31,12 @@ class TestCount:
         assert code == 0
         assert out.strip() == "5"
 
-    def test_unsupported_params_exit_2(self, capsys):
-        code, _, err = run(capsys, "count", "--h", "2", "--k", "3", "--n", "5", "--method", "eco")
-        assert code == 2
-        assert "error" in err
+    @pytest.mark.parametrize("h,n,expected", [(2, 5, "13"), (1, 2, "1"), (1, 3, "0")])
+    def test_h1_h2_cross_check(self, capsys, h, n, expected):
+        # h = 2, k = 3: 1/(1 - x - x^2 - x^3); h = 1, k = 3: 1 + x + x^2
+        code, out, err = run(capsys, "count", "--h", str(h), "--k", "3", "--n", str(n),
+                             "--method", "eco", "--cross-check")
+        assert (code, out, err) == (0, expected + "\n", "")
 
     def test_brute_runs_past_the_listing_cap(self, capsys):
         argv = ("count", "--h", "7", "--k", "5", "--n", "2000", "--method")
@@ -207,10 +208,22 @@ class TestVerify:
                            "--n-max", "8", "--jobs", "1")
         assert code == 0
 
-    def test_unsupported_cell_exit_2(self, capsys):
-        code, _, _ = run(capsys, "verify", "--h", "2..3", "--k", "3..3",
-                         "--n-max", "4", "--jobs", "1")
-        assert code == 2
+    def test_h2_cell(self, capsys):
+        code, out, err = run(capsys, "verify", "--h", "2..3", "--k", "3..3",
+                             "--n-max", "4", "--jobs", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("h=2 k=3 n=0 eco=1 rule=1 series=1 brute=1 ok\n")
+        assert len(out.splitlines()) == 10 and "FAIL" not in out
+
+    def test_h0_exit_2_before_any_worker(self, capsys, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "verify", "--h", "0..2", "--k", "3", "--n-max", "4",
+                             "--jobs", "2")
+        assert (code, out, err) == (2, "", "error: h must be >= 1, got 0\n")
 
     def test_catalan_on_small_n(self, capsys):
         code, out, _ = run(capsys, "verify", "--h", "4..4", "--k", "3..3",
@@ -228,9 +241,10 @@ class TestRoutes:
         with pytest.raises(ValueError):
             cli.ROUTES[name](ClassParams(4, 3), -1)
 
-    def test_eco_rejects_unsupported_params(self):
-        with pytest.raises(UnsupportedParams):
-            cli.ROUTES["eco"](ClassParams(2, 4), 2)
+    @pytest.mark.parametrize("name", list(cli.ROUTES))
+    def test_answers_h1_and_h2(self, name):
+        for params in (ClassParams(h, k) for h in (1, 2) for k in range(2, 6)):
+            assert list(cli.ROUTES[name](params, 10)) == cli.ROUTES["brute"](params, 10), params
 
 
 def _rule_off_by_one_at_nmax(params, nmax):
@@ -469,6 +483,8 @@ GOLDEN_COMMANDS = {
     "verify": ["verify", "--h", "4..5", "--k", "2..3", "--n-max", "6", "--jobs", "1"],
     "verify_grid": ["verify", "--h", "4..7", "--k", "3..5", "--n-max", "12", "--jobs", "1"],
     "verify_h3": ["verify", "--h", "3", "--k", "2..6", "--n-max", "12", "--jobs", "1"],
+    "verify_h1_3": ["verify", "--h", "1..3", "--k", "2..6", "--n-max", "12", "--jobs", "1"],
+    "generate_none": ["generate", "--h", "1", "--k", "2", "--n", "3"],
     "generate_listing": ["generate", "--h", "7", "--k", "5", "--n", "12"],
     "identity_deep": ["identity", "--h-min", "4", "--h-max", "160"],
 }
@@ -501,6 +517,12 @@ GOLDEN = [
     ("verify_grid", "plain", 0, "2fe359307be292bb00095042a494ed2f62a34dc08ee1cc2be9b4736e076a5da0", 8232),
     # h = 3 for every k, n <= 12
     ("verify_h3", "plain", 0, "fc599c20faf46135a9ccc1ddef50776b06a30ef3723c61a44c07e58ca3f95202", 3348),
+    # every h >= 1: h = 1..3 for every k, n <= 12, 195 rows
+    ("verify_h1_3", "plain", 0, "e35810c38e5852fcd4747256bccb83659a1581e37fec434359e2b4d7d860580e", 9480),
+    # h = 1, k = 2 has no path of semilength 3: no line, no csv header, an empty JSON array
+    ("generate_none", "plain", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("generate_none", "json", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570", 3),
+    ("generate_none", "csv", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     # 201,145 paths, each with its height and label
     ("generate_listing", "json", 0, "6451e7c558cc95567da01f1d29c4c5c40dfce347fcc651d21e3b3d08b4373328",
      13480864),

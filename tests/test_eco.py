@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from valleyforge import eco
 from valleyforge.eco import (
@@ -16,7 +16,7 @@ from valleyforge.eco import (
     tree_totals_upto,
     walk,
 )
-from valleyforge.errors import EmptyPath, NotInClass, UnsupportedParams
+from valleyforge.errors import EmptyPath, NotInClass
 from valleyforge.oracle import brute_counts_upto, enumerate_dyck
 from valleyforge.paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class, parse_path
 
@@ -34,8 +34,8 @@ def walked_levels(params: ClassParams, n: int) -> list[list[int]]:
 
 @st.composite
 def supported_params(draw):
-    """(h, k) pairs the ECO routes accept, with h <= 7 and k <= 6."""
-    return ClassParams(draw(st.integers(3, 7)), draw(st.integers(2, 6)))
+    """(h, k) pairs with h <= 7 and k <= 6."""
+    return ClassParams(draw(st.integers(1, 7)), draw(st.integers(2, 6)))
 
 
 class TestLabelOf:
@@ -66,9 +66,15 @@ class TestLabelOf:
         with pytest.raises(NotInClass):
             label_of(parse_path("UUUUUDDDDD"), H4K3)
 
-    def test_rejects_unsupported(self):
-        with pytest.raises(UnsupportedParams):
-            label_of(EMPTY_PATH, ClassParams(2, 3))
+    def test_wrap_label_at_h1_and_h2(self):
+        # h = 1, k = 3: (UD)^2 has the most valleys at height 0; its label is (0)
+        p = parse_path("UDUD")
+        assert str(label_of(p, ClassParams(1, 3))) == "(0)"
+        assert children(p, ClassParams(1, 3)) == []
+        # h = 2, k = 3: a valley at height 1 after the full run goes back to the root's label
+        p = parse_path("UUDUDD")
+        assert label_of(p, ClassParams(2, 3)) == EcoLabel.num(1)
+        assert [q.word for q in children(p, ClassParams(2, 3))] == ["UDUUDUDD"]
 
 
 class TestChildren:
@@ -159,7 +165,9 @@ class TestInvertFirstPeak:
     @settings(max_examples=40, deadline=None)
     @given(supported_params(), st.integers(0, 8), st.data())
     def test_children_stay_in_class_and_invert(self, params, n, data):
-        path = data.draw(st.sampled_from(generate(params, n)))
+        paths = generate(params, n)
+        assume(paths)  # at h = 1 there is no path for n >= k
+        path = data.draw(st.sampled_from(paths))
         for child in children(path, params):
             assert is_in_class(child, params)
             assert invert_first_peak(child) == path
@@ -176,8 +184,10 @@ class TestRuleCounts:
         for n in range(9):
             assert rule_counts(H4K3, n).total() == len(generate(H4K3, n))
 
-    # k = 2, the saturated case, h = 3 with (h_j) labels at (3, 5), and up to j = 3 at (4, 6).
-    @pytest.mark.parametrize("h,k", [(4, 3), (3, 2), (3, 5), (5, 2), (6, 5), (7, 5), (4, 6)])
+    # k = 2, the saturated case, h = 3 with (h_j) labels at (3, 5), and up to j = 3 at (4, 6);
+    # h = 1, where the wrap label is (0), and h = 2, where it is the root's (1).
+    @pytest.mark.parametrize("h,k", [(4, 3), (3, 2), (3, 5), (5, 2), (6, 5), (7, 5), (4, 6),
+                                     (1, 2), (1, 5), (2, 2), (2, 5)])
     def test_label_histogram_matches_paths(self, h, k):
         params = ClassParams(h, k)
         for n in range(8):
@@ -192,11 +202,14 @@ class TestRuleCounts:
         for n in range(9):
             assert rule_counts(params, n).total() == len(generate(params, n))
 
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedParams):
-            rule_counts(ClassParams(2, 4), 2)
+    def test_h1_wrap_label_has_no_children(self):
+        params = ClassParams(1, 3)
+        assert [rule_counts(params, n) for n in range(4)] == [
+            {EcoLabel.num(1): 1}, {EcoLabel.hdx(0): 1}, {EcoLabel.num(0): 1}, {}]
+        assert rule_totals_upto(params, 5) == [1, 1, 1, 0, 0, 0]
 
-    @pytest.mark.parametrize("params", [H4K3, ClassParams(3, 2), ClassParams(6, 5)])
+    @pytest.mark.parametrize("params", [H4K3, ClassParams(3, 2), ClassParams(6, 5),
+                                        ClassParams(1, 4), ClassParams(2, 3)])
     def test_sweeps_match_per_n_counts(self, params):
         assert rule_totals_upto(params, 8) == [rule_counts(params, n).total() for n in range(9)]
         # At a fixed semilength, bit order is word order.
@@ -219,7 +232,7 @@ def _paper_successors(label: EcoLabel, h: int, k: int) -> list[EcoLabel]:
 
 
 class TestRuleAgainstPaperProductions:
-    @pytest.mark.parametrize("h,k", [(h, k) for k in range(2, 8) for h in range(3, 10)])
+    @pytest.mark.parametrize("h,k", [(h, k) for k in range(2, 8) for h in range(1, 10)])
     def test_label_multiplicities(self, h, k):
         params = ClassParams(h, k)
         counts = Counter({EcoLabel.num(1): 1})
@@ -232,7 +245,7 @@ class TestRuleAgainstPaperProductions:
             counts = nxt
 
 
-SUPPORTED = [(h, k) for k in range(2, 7) for h in range(3, 8)]
+SUPPORTED = [(h, k) for k in range(2, 7) for h in range(1, 8)]
 
 
 def _assert_each_level_is_children_of_the_previous(params: ClassParams, n: int) -> None:
@@ -267,6 +280,16 @@ class TestLevels:
         # A block above depth 12 is followed at once by its first child block.
         assert all(b == a + 1 for a, b in zip(depths, depths[1:]) if a < 12)
 
+    def test_h1_h2_match_dp_and_the_filtered_enumeration(self):
+        cells = [ClassParams(h, k) for h in (1, 2) for k in range(2, 8)]
+        for params in cells:
+            assert tree_totals_upto(params, 12) == brute_counts_upto(params, 12), params
+        for n in range(13):
+            dyck = enumerate_dyck(n)
+            for params in cells:
+                brute = sorted(p.bits for p in dyck if is_in_class(p, params))
+                assert [p.bits for p in generate(params, n)] == brute, (params, n)
+
     def test_n0_is_the_root(self):
         assert list(walk(H4K3, 0)) == [(0, [EMPTY_PATH.bits])]
         assert tree_totals_upto(H4K3, 0) == [1]
@@ -274,8 +297,6 @@ class TestLevels:
     def test_errors_are_raised_before_the_first_block(self):
         with pytest.raises(ValueError):
             walk(H4K3, -1)
-        with pytest.raises(UnsupportedParams):
-            walk(ClassParams(2, 4), 2)
 
 
 class TestTreeTotals:
@@ -296,14 +317,11 @@ class TestTreeTotals:
         assert tree_totals_upto(H4K3, 0) == [1]
         assert tree_totals_upto(H4K3, 1) == [1, 1]
 
-    @pytest.mark.parametrize("nmax", [-1, 0, 1, 5])
+    @pytest.mark.parametrize("nmax", [-1])
     def test_errors_are_raised_before_any_work(self, monkeypatch, nmax):
         def no_walk(*args):
             raise AssertionError("walked")
 
         monkeypatch.setattr(eco, "_walk", no_walk)
-        with pytest.raises(UnsupportedParams):
-            tree_totals_upto(ClassParams(2, 4), nmax)
-        if nmax < 0:
-            with pytest.raises(ValueError):
-                tree_totals_upto(H4K3, nmax)
+        with pytest.raises(ValueError):
+            tree_totals_upto(H4K3, nmax)

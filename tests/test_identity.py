@@ -35,6 +35,12 @@ class TestLhs:
         with pytest.raises(DomainViolation):
             lhs_coefficient_relation(5, 7, 5, [1] * 6)
 
+    def test_short_counts_refused(self):
+        # D[n::-1] would start from D's last entry and pair the wrong terms
+        assert lhs_coefficient_relation(4, 6, 3, [1, 1, 2, 5]) == 0
+        with pytest.raises(DomainViolation, match="D_0..D_3, got 3"):
+            lhs_coefficient_relation(4, 6, 3, [1, 1, 2])
+
 
 class TestRhs:
     def test_n0_single_term(self):
@@ -163,9 +169,10 @@ def test_sweep_weights_at_the_window_end():
 def test_catalan_times_q_h_is_q_h_minus_1():
     """C(x) q_h(x) = q_{h-1}(x) mod x^{h+1}: paths of height <= h have generating
     function q_{h-1}/q_h, which agrees with C(x) through x^h.  The recurrence
-    window and the coefficient relation are both coefficients of this product."""
+    window and the coefficient relation are both coefficients of this product.
+    At h = 0 it reads q_{-1} = 1, the value of the three-term recurrence."""
     C = catalan_upto(400)
-    for h in range(1, 401):
+    for h in range(0, 401):
         q = height_denominator(h)
         product = [sum(map(mul, q, C[n::-1])) for n in range(h + 1)]
         expected = height_denominator(h - 1)

@@ -75,6 +75,21 @@ class TestBruteCount:
             assert list(f_series(params, order).coeffs) == counts, k
             assert rule_totals_upto(params, order) == counts, k
 
+    def test_agrees_with_rule_and_series_at_h1_h2(self):
+        """At h = 1 the class is (UD)^n for n <= k-1.  At h = 2 a path is a
+        sequence of blocks U(UD)^jD, j <= k-1, so f = 1/(1 - x - ... - x^k)."""
+        order = 200
+        for k in range(2, 41):
+            h1, h2 = ClassParams(1, k), ClassParams(2, k)
+            ones = brute_counts_upto(h1, order)
+            assert ones == [1] * k + [0] * (order + 1 - k), k
+            blocks = brute_counts_upto(h2, order)
+            assert blocks[0] == 1, k
+            assert all(blocks[n] == sum(blocks[max(n - k, 0):n]) for n in range(1, order + 1)), k
+            for params, counts in ((h1, ones), (h2, blocks)):
+                assert list(f_series(params, order).coeffs) == counts, params
+                assert rule_totals_upto(params, order) == counts, params
+
     def test_upto_consistent(self):
         params = ClassParams(5, 3)
         upto = brute_counts_upto(params, 10)

@@ -204,14 +204,6 @@ class TestClassParams:
         with pytest.raises(ValueError):
             ClassParams(3, 1)
 
-    @pytest.mark.parametrize(
-        "h,k,expected",
-        [(3, 2, True), (2, 2, False), (4, 3, True), (3, 3, True), (4, 2, True), (5, 6, True),
-         (1, 2, False), (1, 5, False), (2, 5, False)],
-    )
-    def test_eco_supported(self, h, k, expected):
-        assert ClassParams(h, k).eco_supported is expected
-
 
 class TestCatalan:
     @pytest.mark.parametrize("n,expected", [(0, 1), (3, 5), (10, 16796)])

@@ -1,6 +1,5 @@
 import pytest
 
-from valleyforge.errors import UnsupportedParams
 from valleyforge.oracle import brute_counts_upto
 from valleyforge.paths import ClassParams, catalan
 from valleyforge.series import (
@@ -14,7 +13,7 @@ from valleyforge.series import (
     system_residuals,
 )
 
-GRID = [(h, k) for h in range(3, 9) for k in range(2, 7)]
+GRID = [(h, k) for h in range(1, 9) for k in range(2, 7)]
 
 
 def _row_times(row, N):
@@ -48,7 +47,8 @@ class TestBuildS:
         assert build_S(1, 3) == [-1, 1]
 
     def test_h2(self):
-        assert build_S(2, 3) == [-1, 2, 0, -1]
+        # -(1 - 2x + x^{k+1}): f = (1 - x) / (1 - 2x + x^{k+1}) at h = 2
+        assert build_S(2, 3) == [-1, 2, 0, 0, -1]
 
     def test_h3(self):
         # 1 - 3x + x^2 + x^{k+1}
@@ -57,7 +57,7 @@ class TestBuildS:
     @pytest.mark.parametrize("k", range(2, 13))
     def test_h1_h3_every_k(self, k):
         assert build_S(1, k) == [-1, 1]
-        assert build_S(2, k) == [-1, 2] + [0] * (k - 2) + [-1]
+        assert build_S(2, k) == [-1, 2] + [0] * (k - 1) + [-1]
         assert build_S(3, k) == [1, -3, 1] + [0] * (k - 2) + [1]
 
     def test_h4(self):
@@ -81,10 +81,8 @@ class TestBuildS:
             for k in range(2, 13):
                 S = build_S(h, k)
                 assert S[0] in (-1, 1) and S[-1] != 0, (h, k)
-                params = ClassParams(h, k)
-                if params.eco_supported:
-                    for row in build_system(params):
-                        assert all(a and a[-1] for a in row.values()), (h, k)
+                for row in build_system(ClassParams(h, k)):
+                    assert all(a and a[-1] for a in row.values()), (h, k)
 
 
 class TestBuildSystem:
@@ -115,9 +113,11 @@ class TestBuildSystem:
             assert i in row
             assert all(any(entry) for entry in row.values())
 
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedParams):
-            build_system(ClassParams(2, 3))
+    def test_h1_h2_systems(self):
+        # At h = 2 the last label goes back to the root's label (1); at h = 1 to (0).
+        assert build_system(ClassParams(1, 4)) == [{0: [1]}]
+        assert build_system(ClassParams(2, 4)) == [{0: [1], 1: [0, 0, 0, -1]},
+                                                   {0: [0, 1], 1: [-1, 1, 1, 1]}]
 
 
 class TestSolveSeries:
@@ -143,9 +143,23 @@ class TestSolveSeries:
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("h,k", GRID)
+    # At h = 2, F_1 = 1 + x^{k-1} F_2 (test_h2_component_one_holds_the_wrap).
+    @pytest.mark.parametrize("h,k", [(h, k) for h, k in GRID if h != 2])
     def test_component_one_is_constant_one(self, h, k):
         assert closed_form_F(ClassParams(h, k), 1, 8).coeffs == (1,) + (0,) * 8
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_h2_component_one_holds_the_wrap(self, k):
+        """The last label goes back to the root's label (1)."""
+        params = ClassParams(2, k)
+        F2 = closed_form_F(params, 2, 12).mul_poly([0] * (k - 1) + [1]).coeffs
+        assert closed_form_F(params, 1, 12).coeffs == (1 + F2[0],) + F2[1:]
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            closed_form_F(ClassParams(4, 3), 1, -1)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            solve_series(ClassParams(4, 3), -1)
 
     @pytest.mark.parametrize("h,k", GRID)
     def test_agrees_with_solver(self, h, k):
@@ -154,8 +168,8 @@ class TestClosedForm:
         for i in range(1, h + 1):
             assert closed_form_F(params, i, 30) == F[i - 1], (h, k, i)
 
-    @pytest.mark.parametrize("h,ks", [(h, range(2, 12)) for h in range(3, 41)] + [(500, [7])],
-                             ids=[f"h{h}-k2..11" for h in range(3, 41)] + ["h500-k7"])
+    @pytest.mark.parametrize("h,ks", [(h, range(2, 12)) for h in range(1, 41)] + [(500, [7])],
+                             ids=[f"h{h}-k2..11" for h in range(1, 41)] + ["h500-k7"])
     def test_solves_the_system_exactly(self, h, ks):
         """A N = b S as polynomials, for every k in ``ks``.  A(0) is
         invertible, so the power-series solution is unique and F_i = N_i / S
@@ -193,20 +207,15 @@ class TestFSeries:
     def test_k2_prefactor_vanishes(self):
         params = ClassParams(5, 2)
         F = solve_series(params, 10)
-        fs = f_series(params, 10)
-        total = TruncatedSeries(10)
-        for s in F:
-            total = total + s
-        assert fs == total
+        assert f_series(params, 10).coeffs == tuple(map(sum, zip(*(s.coeffs for s in F))))
 
     @pytest.mark.parametrize("h,k", GRID)
     def test_t_series_relation(self, h, k):
-        # defining T_j = x^{j+1} F_h, sum_j T_j + sum_i F_i must equal f
+        # defining T_j = x^{j+1} F_h, sum_j T_j + sum_i F_i must equal f; the
+        # labels (h_j) are T_0 .. T_{k-3}, and at h = 1 the label (0) is T_{k-2}
         params = ClassParams(h, k)
         F = solve_series(params, 15)
-        total = TruncatedSeries(15)
-        for s in F:
-            total = total + s
-        for j in range(k - 2):
-            total = total + F[-1].mul_poly([0] * (j + 1) + [1])
-        assert total == f_series(params, 15)
+        parts = [s.coeffs for s in F]
+        for j in range(k - 2 if h > 1 else k - 1):
+            parts.append(F[-1].mul_poly([0] * (j + 1) + [1]).coeffs)
+        assert f_series(params, 15).coeffs == tuple(map(sum, zip(*parts)))
