@@ -16,7 +16,7 @@ from itertools import islice
 
 from . import __version__, eco, identity, oracle, series
 from .errors import ValleyforgeError
-from .paths import ClassParams, catalan_upto, height
+from .paths import ClassParams, height
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +176,16 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    if not 4 <= args.h_min <= args.h_max:
-        raise ValleyforgeError("need 4 <= h-min <= h-max")
-    C = catalan_upto(args.h_max)
+    if not 1 <= args.h_min <= args.h_max:
+        raise ValleyforgeError("need 1 <= h-min <= h-max")
     failed = []
 
     def rows():
-        for h in range(args.h_min, args.h_max + 1):
-            for n, expected, value in identity.catalan_recurrence_sweep(h, C):
-                ok = expected == value
-                if not ok:
-                    failed.append((h, n))
-                yield h, n, expected, value, ok
+        for h, n, expected, value in identity.catalan_recurrence_rows(args.h_min, args.h_max):
+            ok = expected == value
+            if not ok:
+                failed.append((h, n))
+            yield h, n, expected, value, ok
 
     _emit(args.format, rows(),
           lambda r: {"h": r[0], "n": r[1], "expected": str(r[2]), "recurrence": str(r[3]), "passed": r[4]},

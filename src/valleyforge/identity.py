@@ -12,18 +12,21 @@ average height of planted plane trees", 1972; Flajolet, "Combinatorial
 aspects of continued fractions", Discrete Math. 32, 1980).  That series
 agrees with the Catalan series C(x) through x^h, so coefficients
 ceil((h+1)/2) .. h of C(x) q_h(x) vanish; the checks here take n <= h-1.
-The intermediate coefficient relation is checked against exact class
-counts supplied by any route (series engine or brute force).
+The q_h obey q_h = q_{h-1} - x q_{h-2} (Pascal's rule on the binomials), so
+the products C(x) q_h(x) for every h <= H each come from the two before, in
+O(H^2) additions in all (``catalan_recurrence_rows``).  The intermediate
+coefficient relation is checked against exact class counts supplied by any
+route (series engine or brute force).
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import mul
-from typing import Callable, Sequence
+from operator import mul, sub
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainViolation
-from .paths import height_denominator
+from .paths import catalan_upto, height_denominator
 
 
 def lhs_coefficient_relation(h: int, k: int, n: int, D: Sequence[int]) -> int:
@@ -45,7 +48,7 @@ def rhs_coefficient_relation(h: int, n: int) -> int:
         raise DomainViolation(f"need 0 <= n < h, got n={n}, h={h}")
     base = (h + 1) // 2
     total = 0
-    for t in range(n // h, min(n, h - n + 1) + 1):
+    for t in range(min(n, h - n + 1) + 1):
         total += (-1) ** (base - t) * comb(h - n + 1, t)
     return total
 
@@ -66,29 +69,26 @@ def check_relation(
     return failures
 
 
-def _recurrence_weights(h: int) -> list[int]:
-    """The weights -q_h[j] = (-1)^{j+1} binom(h+1-j, j) for j = 1 .. floor((h+1)/2)."""
-    return [-c for c in height_denominator(h)[1:]]
-
-
-def _recurrence_value(weights: list[int], C: Sequence[int], n: int) -> int:
-    """sum_j weights[j-1] * C_{n-j}, for n >= len(weights): no index runs below 0."""
-    return sum(map(mul, weights, C[n - 1::-1]))
-
-
-def catalan_recurrence_sweep(h: int, C: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(n, C_n, recurrence value) for every n with ceil((h+1)/2) <= n < h.
+def catalan_recurrence_rows(h_min: int, h_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(h, n, C_n, recurrence value) for h_min <= h <= h_max and ceil((h+1)/2) <= n < h.
 
     C_n = sum_{j=1}^{floor((h+1)/2)} (-1)^{j+1} binom(h+1-j, j) C_{n-j}
     holds exactly on the window ceil((h+1)/2) <= n <= h: the recurrence is
     the one of paths of height <= h, whose series agrees with C(x) up to
     x^h.  It fails at n = floor(h/2) and at n = h+1, where C_{h+1} exceeds
-    the recurrence by 1, the lone path U^{h+1} D^{h+1}.  The sweep takes
+    the recurrence by 1, the lone path U^{h+1} D^{h+1}.  The rows take
     ceil((h+1)/2) <= n < h, so every row's two values must be equal.
 
-    ``C`` is a Catalan table holding at least C_0 .. C_{h-1}, such as
-    ``catalan_upto(h_max)``, shared by every h of a sweep; the weights are
-    computed once for h.
+    The recurrence value is C_n - P_h[n], P_h = C(x) q_h(x).  The rows step
+    P_h = P_{h-1} - x P_{h-2} from P_{-1} = P_0 = C, truncated at x^{h_max},
+    so all of them cost O(h_max^2) additions and no binomial.  The congruence
+    C q_h = q_{h-1} (mod x^{h+1}) is what the rows check, never how they are
+    built.
     """
-    weights = _recurrence_weights(h)
-    return [(n, C[n], _recurrence_value(weights, C, n)) for n in range((h + 2) // 2, h)]
+    C = catalan_upto(h_max - 1)
+    older, row = C, C
+    for h in range(1, h_max + 1):
+        older, row = row, list(map(sub, row, [0, *older]))
+        if h >= h_min:
+            for n in range((h + 2) // 2, h):
+                yield h, n, C[n], C[n] - row[n]

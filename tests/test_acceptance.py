@@ -8,7 +8,7 @@ anywhere.
 import pytest
 
 from valleyforge import eco, identity, oracle, series
-from valleyforge.paths import EMPTY_PATH, ClassParams, catalan, catalan_upto
+from valleyforge.paths import EMPTY_PATH, ClassParams, catalan
 
 GRID = [(h, k) for h in range(4, 8) for k in range(3, 6)]
 N_MAX = 12
@@ -85,13 +85,12 @@ def test_criterion_5_closed_form_certification():
 
 
 def test_criterion_6_catalan_recurrence_suite():
-    C = catalan_upto(64)
+    rows = list(identity.catalan_recurrence_rows(4, 64))
     bad = []
-    for h in range(4, 65):
-        rows = identity.catalan_recurrence_sweep(h, C)
-        if [n for n, _, _ in rows] != list(range((h + 2) // 2, h)):
-            bad.append((h, "window"))
-        bad += [(h, n) for n, expected, value in rows if expected != value]
+    if [(h, n) for h, n, _, _ in rows] != [(h, n) for h in range(4, 65)
+                                           for n in range((h + 2) // 2, h)]:
+        bad.append("window")
+    bad += [(h, n) for h, n, expected, value in rows if expected != value]
     _report(6, "Catalan recurrence h=4..64", not bad, f"windows: {bad}" if bad else "")
 
 

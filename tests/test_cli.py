@@ -155,22 +155,29 @@ class TestIdentity:
         assert all(r["passed"] for r in records)
 
     def test_below_range_exit_2(self, capsys):
-        code, _, _ = run(capsys, "identity", "--h-min", "3", "--h-max", "3")
-        assert code == 2
+        for bounds in (("--h-min", "0", "--h-max", "4"), ("--h-min", "5", "--h-max", "4")):
+            code, out, err = run(capsys, "identity", *bounds)
+            assert (code, out, err) == (2, "", "error: need 1 <= h-min <= h-max\n"), bounds
+
+    def test_h_from_1(self, capsys):
+        code, out, err = run(capsys, "identity", "--h-min", "1", "--h-max", "3")
+        assert (code, out, err) == (0, "h=3 n=2 expected=2 recurrence=2 ok\n", "")
+
+    @pytest.mark.parametrize("fmt,expected", [("plain", ""), ("csv", ""), ("json", "[]\n")])
+    def test_no_rows(self, capsys, fmt, expected):
+        code, out, err = run(capsys, "identity", "--h-min", "1", "--h-max", "2", "--format", fmt)
+        assert (code, out, err) == (0, expected, "")
 
     @pytest.fixture
     def last_row_wrong(self, monkeypatch):
-        """The recurrence value of the last row of h = 9 is off by one."""
-        sweep = identity.catalan_recurrence_sweep
+        """The recurrence value of the last row of h = 9, (h, n) = (9, 8), is off by one."""
+        rows = identity.catalan_recurrence_rows
 
-        def broken(h, C):
-            rows = sweep(h, C)
-            if h == 9:
-                n, expected, value = rows[-1]
-                rows[-1] = (n, expected, value + 1)
-            return rows
+        def broken(h_min, h_max):
+            for h, n, expected, value in rows(h_min, h_max):
+                yield h, n, expected, value + ((h, n) == (9, 8))
 
-        monkeypatch.setattr(identity, "catalan_recurrence_sweep", broken)
+        monkeypatch.setattr(identity, "catalan_recurrence_rows", broken)
 
     def test_failure_plain(self, capsys, last_row_wrong):
         code, out, _ = run(capsys, "identity", "--h-min", "4", "--h-max", "9")

@@ -1,3 +1,4 @@
+from itertools import zip_longest
 from math import ceil, comb
 from operator import mul
 
@@ -5,9 +6,7 @@ import pytest
 
 from valleyforge.errors import DomainViolation
 from valleyforge.identity import (
-    _recurrence_value,
-    _recurrence_weights,
-    catalan_recurrence_sweep,
+    catalan_recurrence_rows,
     check_relation,
     lhs_coefficient_relation,
     rhs_coefficient_relation,
@@ -96,28 +95,48 @@ class TestCheckRelation:
             assert rhs == rhs_coefficient_relation(4, n) != lhs
 
 
-def _sweep_row(h, n):
-    """(C_n, recurrence value) from the sweep's row n for height h."""
-    return {m: (c, value) for m, c, value in catalan_recurrence_sweep(h, catalan_upto(h))}[n]
+def _row(h, n):
+    """(C_n, recurrence value) from the row (h, n)."""
+    return {(g, m): (c, value) for g, m, c, value in catalan_recurrence_rows(h, h)}[h, n]
+
+
+def _windows(rows):
+    """h -> the list of n its rows cover, in order."""
+    by_h = {}
+    for h, n, _, _ in rows:
+        by_h.setdefault(h, []).append(n)
+    return by_h
+
+
+def _dot_product_rows(h_min, h_max):
+    """The rows from one dot product per (h, n), the reference for the product rows.
+
+    sum_{j>=1} (-1)^{j+1} binom(h+1-j, j) C_{n-j}, the recurrence as the
+    paper writes it, for ceil((h+1)/2) <= n < h.
+    """
+    C = catalan_upto(h_max)
+    for h in range(h_min, h_max + 1):
+        weights = [(-1) ** (j + 1) * comb(h + 1 - j, j) for j in range(1, (h + 1) // 2 + 1)]
+        for n in range((h + 2) // 2, h):
+            yield h, n, C[n], sum(map(mul, weights, C[n - 1::-1]))
 
 
 class TestCatalanRecurrence:
     def test_h5_n3(self):
-        assert _sweep_row(5, 3) == (5, 5)
+        assert _row(5, 3) == (5, 5)
 
     def test_h5_n4(self):
-        assert _sweep_row(5, 4) == (14, 14)
+        assert _row(5, 4) == (14, 14)
 
     def test_h7_n4(self):
-        assert _sweep_row(7, 4) == (14, 14)
+        assert _row(7, 4) == (14, 14)
 
     def test_window_enforced(self):
-        # n = floor(h/2) and n = h are left out, whatever the table holds
-        C = catalan_upto(70)
-        assert [n for n, _, _ in catalan_recurrence_sweep(5, C)] == [3, 4]
-        for h in range(4, 65):
-            rows = catalan_recurrence_sweep(h, C)
-            assert [n for n, _, _ in rows] == list(range(ceil((h + 1) / 2), h)), h
+        # n = floor(h/2) and n = h are left out, whatever h_max is
+        assert _windows(catalan_recurrence_rows(5, 5)) == {5: [3, 4]}
+        windows = _windows(catalan_recurrence_rows(1, 70))
+        for h in range(1, 71):
+            assert windows.get(h, []) == list(range(ceil((h + 1) / 2), h)), h
 
 
 class TestCatalanSweep:
@@ -130,12 +149,20 @@ class TestCatalanSweep:
             catalan_upto(-1)
 
     def test_rows_match_per_n_check(self):
-        C = catalan_upto(64)
-        for h in range(4, 65):
-            rows = catalan_recurrence_sweep(h, C)
-            assert [n for n, _, _ in rows] == list(range((h + 2) // 2, h)), h
-            for n, expected, value in rows:
-                assert expected == value == catalan(n), (h, n)
+        # h = 1 and 2 have no rows; h = 3 has one, C_2 = 3 C_1 - C_0
+        assert list(_windows(catalan_recurrence_rows(1, 64))) == list(range(3, 65))
+        for h, n, expected, value in catalan_recurrence_rows(1, 64):
+            assert expected == value == catalan(n), (h, n)
+
+    def test_rows_match_dot_product(self):
+        # same (h, n) set, same order, same values as the per-(h, n) dot product
+        assert list(catalan_recurrence_rows(4, 160)) == list(_dot_product_rows(4, 160))
+
+    def test_h1000_alone(self):
+        C = catalan_upto(999)
+        rows = list(catalan_recurrence_rows(1000, 1000))
+        assert [n for _, n, _, _ in rows] == list(range(501, 1000))
+        assert all(h == 1000 and expected == value == C[n] for h, n, expected, value in rows)
 
 
 def test_recurrence_window_edges():
@@ -146,24 +173,20 @@ def test_recurrence_window_edges():
                     for j in range(1, (h + 1) // 2 + 1) if n - j >= 0)
         return catalan(n) - value
 
-    for h in range(4, 65):
+    for h in range(1, 65):
         assert all(gap(h, n) == 0 for n in range((h + 2) // 2, h + 1)), h
         assert gap(h, h // 2) != 0, h
         assert gap(h, h + 1) == 1, h  # the lone path U^{h+1} D^{h+1}
 
 
-def test_sweep_weights_at_the_window_end():
-    """The sweep's weights give C_h at n = h and miss C_{h+1} by exactly 1.
-
-    The weights of h - 1 also hold on the checked window n < h, but already
-    miss C_h by 1, so this is what tells h from h - 1.
-    """
-    C = catalan_upto(65)
-    for h in range(4, 65):
-        weights = _recurrence_weights(h)
-        assert _recurrence_value(weights, C, h) == C[h], h
-        assert C[h + 1] - _recurrence_value(weights, C, h + 1) == 1, h
-
+def test_height_denominator_pascal_rule():
+    """q_h = q_{h-1} - x q_{h-2}, with q_{-1} = [1] and q_{-2} = []: the step the
+    rows take, read off the binomials binom(h+1-j, j) themselves."""
+    older, previous = [], [1]
+    for h in range(0, 401):
+        step = [a - b for a, b in zip_longest(previous, [0, *older], fillvalue=0)]
+        assert height_denominator(h) == step, h
+        older, previous = previous, step
 
 
 def test_catalan_times_q_h_is_q_h_minus_1():
