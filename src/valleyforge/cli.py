@@ -150,17 +150,22 @@ def _cmd_series(args) -> int:
     if args.show_components and args.format == "csv":
         raise ValleyforgeError("--show-components has no csv form; use --format plain or json")
     params = ClassParams(args.h, args.k)
-    F = series.solve_series(params, args.order)
-    fs = series.counting_series(params, F)
+    if args.show_components:
+        F = series.solve_series(params, args.order)
+        fs = series.counting_series(params, F)
+    else:
+        fs = series.f_series(params, args.order)
     denominator = [str(c) for c in series.build_S(args.h, args.k)]
     if args.format == "json":
         head = json.dumps({"h": args.h, "k": args.k, "coefficients": fs.to_json()})
         if args.show_components:
             # json.dumps of the object with "components" and "denominator"
-            # added, written one component at a time.
+            # added, written one component at a time.  Every entry is a
+            # decimal integer, which needs no escaping, so the array is
+            # joined directly.
             sys.stdout.write(head[:-1] + ', "components": [')
             for i, s in enumerate(F):
-                sys.stdout.write((", " if i else "") + json.dumps(s.to_json()))
+                sys.stdout.write((", " if i else "") + '["' + '", "'.join(s.to_json()) + '"]')
             print(f'], "denominator": {json.dumps(denominator)}}}')
         else:
             print(head)
@@ -179,16 +184,20 @@ def _cmd_identity(args) -> int:
     if not 1 <= args.h_min <= args.h_max:
         raise ValleyforgeError("need 1 <= h-min <= h-max")
     failed = []
+    decimal: dict[int, str] = {}  # n -> C_n in decimal; every h that covers n repeats it
 
     def rows():
         for h, n, expected, value in identity.catalan_recurrence_rows(args.h_min, args.h_max):
+            text = decimal.get(n)
+            if text is None:
+                text = decimal[n] = str(expected)
             ok = expected == value
             if not ok:
                 failed.append((h, n))
-            yield h, n, expected, value, ok
+            yield h, n, text, text if ok else str(value), ok
 
     _emit(args.format, rows(),
-          lambda r: {"h": r[0], "n": r[1], "expected": str(r[2]), "recurrence": str(r[3]), "passed": r[4]},
+          lambda r: {"h": r[0], "n": r[1], "expected": r[2], "recurrence": r[3], "passed": r[4]},
           lambda r: f"h={r[0]} n={r[1]} expected={r[2]} recurrence={r[3]} {'ok' if r[4] else 'FAIL'}")
     return 1 if failed else 0
 

@@ -6,8 +6,12 @@ denominators q_h of height-bounded Dyck paths, assembles the almost
 tridiagonal linear system for the component series F_1..F_h, solves it
 order by order over the integers, and expands the single-variable
 generating function whose n-th coefficient counts the class paths of
-semilength n.  A closed-form expression for each F_i doubles as an
-independent cross-check of the solver.
+semilength n.  No entry of the system has degree above k-1, so the solve is
+a linear recurrence of order k-1 on coefficient vectors: the solver keeps
+only the last k-1 columns, and the counting series (``f_series``) takes
+O(h*k) working memory besides its own coefficients.  A closed-form
+expression for each F_i doubles as an independent cross-check of the
+solver.
 
 A polynomial is a plain list of integer coefficients, constant term first,
 as in ``paths`` and ``identity`` and in the JSON form; the lists built here
@@ -16,6 +20,8 @@ end in a nonzero coefficient.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 
 from .paths import ClassParams, height_denominator
@@ -116,32 +122,49 @@ def build_system(params: ClassParams) -> list[dict[int, list[int]]]:
     return rows
 
 
-def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
-    """Unique power-series solution of the system, order by order.
+def _columns(params: ClassParams, order: int) -> Iterator[list[int]]:
+    """The coefficient vectors (F_1[n], ..., F_h[n]) for n = 0, 1, ..., order.
 
-    Splitting A = A0 + (higher powers of x), each coefficient vector is
-    obtained by back substitution against the triangular constant matrix
-    A0, whose diagonal entries are all +-1; everything stays integral.
-    Each row contributes only its stored nonzero entries.
+    Splitting A = A0 + (higher powers of x), each vector is obtained by back
+    substitution against the triangular constant matrix A0, whose diagonal
+    entries are all +-1; everything stays integral.  Column n reads only the
+    previous ``depth`` columns, depth being the highest degree of an entry,
+    so only those are kept.  The order is checked here, before the first
+    column.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     rows = build_system(params)
-    h = params.h
-    cols: list[list[int]] = []
+    depth = max(len(a) for row in rows for a in row.values()) - 1
+    # Per row, in back-substitution order: its index, whether its diagonal
+    # entry is +1, its lagged terms (j, m, a_m) and its same-column terms
+    # (j, a_0) with j > i, nonzero coefficients only.
+    plan = [(i, rows[i][i][0] == 1,
+             tuple((j, m, a[m]) for j, a in rows[i].items() for m in range(1, len(a)) if a[m]),
+             tuple((j, a[0]) for j, a in rows[i].items() if j > i and a[0]))
+            for i in range(len(rows) - 1, -1, -1)]
+    return _solve(plan, len(rows), depth, order)
+
+
+def _solve(plan, h: int, depth: int, order: int) -> Iterator[list[int]]:
+    # Zero columns stand for the columns before n = 0.
+    window = deque([[0] * h] * depth, maxlen=depth)
     for n in range(order + 1):
         vec = [0] * h
-        for i in range(h - 1, -1, -1):
-            row = rows[i]
+        for i, plus, lagged, same in plan:
             s = 1 if i == n == 0 else 0
-            for j, a in row.items():
-                for m in range(1, min(n, len(a) - 1) + 1):
-                    s -= a[m] * cols[n - m][j]
-                if j > i:
-                    s -= a[0] * vec[j]
-            vec[i] = s if row[i][0] == 1 else -s
-        cols.append(vec)
-    return [TruncatedSeries(order, col) for col in zip(*cols)]
+            for j, m, a in lagged:
+                s -= a * window[-m][j]
+            for j, a in same:
+                s -= a * vec[j]
+            vec[i] = s if plus else -s
+        window.append(vec)
+        yield vec
+
+
+def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
+    """Unique power-series solution F_1..F_h of the system, to the given order."""
+    return [TruncatedSeries(order, row) for row in zip(*_columns(params, order))]
 
 
 def system_residuals(params: ClassParams, order: int) -> list[list[int]]:
@@ -191,18 +214,30 @@ def closed_form_F(params: ClassParams, i: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
-def counting_series(params: ClassParams, F: list[TruncatedSeries]) -> TruncatedSeries:
-    """Counting series of the class from its solved components F_1..F_h.
+def _counts(params: ClassParams, columns: Iterable[Sequence[int]]) -> TruncatedSeries:
+    """Counting series from the component columns, read as they come.
 
-    f = F_1 + ... + F_h + (x + x^2 + ... + x^{k-2}) F_h, the labels (h_j)
-    being x^{j+1} F_h; the prefactor is zero when k = 2.  At h = 1 it runs
-    to x^{k-1}, for the label (0) that the last label goes back to.
+    f = F_1 + ... + F_h + (x + x^2 + ... + x^top) F_h, the labels (h_j)
+    being x^{j+1} F_h; top = k-2, so the prefactor is zero when k = 2.  At
+    h = 1 top = k-1, for the label (0) that the last label goes back to.
     """
     top = params.k - 1 if params.h == 1 else params.k - 2
-    parts = [s.coeffs for s in F] + [F[-1].mul_poly([0] + [1] * top).coeffs]
-    return TruncatedSeries(F[0].order, map(sum, zip(*parts)))
+    last = deque([0] * top, maxlen=top)  # F_h[n-top] .. F_h[n-1]
+    coeffs = []
+    for col in columns:
+        coeffs.append(sum(col) + sum(last))
+        last.append(col[-1])
+    return TruncatedSeries(len(coeffs) - 1, coeffs)
+
+
+def counting_series(params: ClassParams, F: list[TruncatedSeries]) -> TruncatedSeries:
+    """Counting series of the class from its solved components F_1..F_h."""
+    return _counts(params, zip(*(s.coeffs for s in F)))
 
 
 def f_series(params: ClassParams, order: int) -> TruncatedSeries:
-    """Counting series of the class: coefficient n is the count at semilength n."""
-    return counting_series(params, solve_series(params, order))
+    """Counting series of the class: coefficient n is the count at semilength n.
+
+    The components are never held: working memory is the last k-1 columns.
+    """
+    return _counts(params, _columns(params, order))

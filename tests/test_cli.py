@@ -479,6 +479,12 @@ def test_eco_count_peak_rss():
     assert _child_peak_rss_mib(["count", "--h", "7", "--k", "5", "--n", "13", "--method", "eco"]) < 32
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc, on Linux only")
+def test_series_count_peak_rss():
+    """The series route keeps the last k-1 columns of its 1000 x 1001 coefficients, never all."""
+    assert _child_peak_rss_mib(["count", "--h", "1000", "--k", "3", "--n", "1000", "--method", "series"]) < 40
+
+
 # Small-size commands whose stdout is pinned byte for byte in every format.
 GOLDEN_COMMANDS = {
     "count": ["count", "--h", "4", "--k", "3", "--n", "6", "--method", "series", "--cross-check"],
@@ -494,6 +500,7 @@ GOLDEN_COMMANDS = {
     "generate_none": ["generate", "--h", "1", "--k", "2", "--n", "3"],
     "generate_listing": ["generate", "--h", "7", "--k", "5", "--n", "12"],
     "identity_deep": ["identity", "--h-min", "4", "--h-max", "160"],
+    "series_deep": ["series", "--h", "64", "--k", "5", "--order", "1000", "--show-components"],
 }
 
 # (command, format, exit code, stdout sha256, stdout bytes)
@@ -536,6 +543,9 @@ GOLDEN = [
     # 6,319 recurrence checks, h <= 160
     ("identity_deep", "plain", 0, "ba19f9315d7b473c39e1615cfda991131a2e58664d421d9f7b9d35d2909ec58e",
      807464),
+    # 64 components and the counting series to order 1000
+    ("series_deep", "json", 0, "0da69ff1c253bb20d6da4421b693ccb6435640e32d0abe17da48809318d6c000",
+     18741772),
 ]
 
 

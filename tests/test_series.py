@@ -1,5 +1,7 @@
 import pytest
 
+from valleyforge import series
+from valleyforge.eco import rule_totals_upto
 from valleyforge.oracle import brute_counts_upto
 from valleyforge.paths import ClassParams, catalan
 from valleyforge.series import (
@@ -26,6 +28,30 @@ def _row_times(row, N):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _back_substitution(params, order):
+    """Reference solve: every column kept, every stored coefficient walked.
+
+    For each n and each row i, bottom up, the row's entries a_j give
+    F_i[n] = +-(b_i[n] - sum_{j, m >= 1} a_j[m] F_j[n - m] - sum_{j > i} a_j[0] F_j[n]).
+    """
+    rows = build_system(params)
+    h = params.h
+    cols = []
+    for n in range(order + 1):
+        vec = [0] * h
+        for i in range(h - 1, -1, -1):
+            row = rows[i]
+            s = 1 if i == n == 0 else 0
+            for j, a in row.items():
+                for m in range(1, min(n, len(a) - 1) + 1):
+                    s -= a[m] * cols[n - m][j]
+                if j > i:
+                    s -= a[0] * vec[j]
+            vec[i] = s if row[i][0] == 1 else -s
+        cols.append(vec)
+    return [TruncatedSeries(order, col) for col in zip(*cols)]
 
 
 class TestTruncatedSeries:
@@ -137,6 +163,24 @@ class TestSolveSeries:
         for s in F[1:]:
             assert s.coefficient(0) == 0
 
+    @pytest.mark.parametrize("h", range(1, 30))
+    def test_matches_back_substitution(self, h):
+        for k in range(2, 12):
+            params = ClassParams(h, k)
+            assert solve_series(params, 60) == _back_substitution(params, 60), (h, k)
+
+    def test_matches_back_substitution_deep(self):
+        params = ClassParams(64, 5)
+        assert solve_series(params, 1000) == _back_substitution(params, 1000)
+
+    def test_negative_order_refused_before_any_column(self, monkeypatch):
+        """The order is checked when the columns are asked for, not when the first is read."""
+        params = ClassParams(4, 3)
+        monkeypatch.setattr(series, "build_system", None)  # never reached
+        for solve in (series._columns, solve_series, f_series):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                solve(params, -1)
+
     @pytest.mark.parametrize("h,k", GRID + [(64, 5), (500, 7)])
     def test_residuals_vanish(self, h, k):
         assert system_residuals(ClassParams(h, k), 30) == [[0] * 31] * h
@@ -203,6 +247,10 @@ class TestFSeries:
         params = ClassParams(h, k)
         fs = f_series(params, 12)
         assert list(fs.coeffs) == brute_counts_upto(params, 12)
+
+    def test_matches_the_rule_deep(self):
+        params = ClassParams(2000, 3)
+        assert list(f_series(params, 300).coeffs) == rule_totals_upto(params, 300)
 
     def test_k2_prefactor_vanishes(self):
         params = ClassParams(5, 2)
