@@ -141,7 +141,7 @@ def _cmd_generate(args) -> int:
     params = ClassParams(args.h, args.k)
     oracle.check_cap(args.n, args.cap)
     _emit(args.format, eco.generate(params, args.n),
-          lambda p: {"word": p.word, "height": height(p), "label": str(eco.label_of(p, params))},
+          lambda p: {"word": p.word, "height": height(p), "label": eco.label_of(p, params)},
           lambda p: p.word)
     return 0
 

@@ -10,54 +10,23 @@ from their labels, so its time grows with the paths above the last
 level.  Label dynamics reproduce the same counts without touching any
 concrete path.
 
-The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain, and
-inside this module a label is its position p = -1 .. h+k-3 on it.  A label
-with c = min(p+1, h) children produces (2), ..., (c) and the next label on
-the chain; the last one goes back to (h-1), which at h = 1 is (0), a label
-with no children.  One rule step on the h+k-1 multiplicities is therefore
-a shift along the chain plus suffix sums.
+The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
+this module a label is its text, such as "(3)" or "(h_0)", as the paper
+writes it and ``generate`` prints it; inside, it is its position
+p = -1 .. h+k-3 on the chain.  A label with c = min(p+1, h) children
+produces (2), ..., (c) and the next label on the chain; the last one goes
+back to (h-1), which at h = 1 is (0), a label with no children.  One rule
+step on the h+k-1 multiplicities is therefore a shift along the chain plus
+suffix sums.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cache
 from typing import Iterator
 
 from .errors import EmptyPath, NotInClass
 from .paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class
-
-
-@dataclass(frozen=True)
-class EcoLabel:
-    """Succession-rule label: numeric (0)..(h) or indexed (h_0)..(h_{k-3}).
-
-    ``kind`` is "num" or "hdx"; ``index`` is l for (l) and j for (h_j).
-    A path labelled (l) has exactly l children; one labelled (h_j) has h.
-    """
-
-    kind: str
-    index: int
-
-    # Interned: label_of asks for a label per path, and labels are immutable.
-    @staticmethod
-    @cache
-    def num(l: int) -> "EcoLabel":
-        return EcoLabel("num", l)
-
-    @staticmethod
-    @cache
-    def hdx(j: int) -> "EcoLabel":
-        return EcoLabel("hdx", j)
-
-    def child_count(self, h: int) -> int:
-        return self.index if self.kind == "num" else h
-
-    def __str__(self) -> str:
-        if self.kind == "num":
-            return f"({self.index})"
-        return f"(h_{self.index})"
 
 
 def _up_run(bits: int, n2: int) -> int:
@@ -83,13 +52,13 @@ def _label(bits: int, n2: int, h: int, k: int) -> int:
     return h + ell if ell < k - 2 else h - 2
 
 
-def _chain_label(p: int, h: int) -> EcoLabel:
-    """The label at chain position p."""
-    return EcoLabel.num(p + 1) if p < h else EcoLabel.hdx(p - h)
+def _label_text(p: int, h: int) -> str:
+    """The paper's name of the label at chain position p: (p+1) below h, (h_{p-h}) from h on."""
+    return f"({p + 1})" if p < h else f"(h_{p - h})"
 
 
-def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
-    """Succession-rule label of a path in the class.
+def label_of(path: DyckPath, params: ClassParams) -> str:
+    """Succession-rule label of a path in the class, as text: "(3)", "(h_0)".
 
     Initial up-run of length t < h gives (t+1), chain position t.  A full
     run t = h gives (h_l), position h + l, where l counts the valleys at
@@ -100,7 +69,7 @@ def label_of(path: DyckPath, params: ClassParams) -> EcoLabel:
     """
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
-    return _chain_label(_label(path.bits, 2 * path.semilength, params.h, params.k), params.h)
+    return _label_text(_label(path.bits, 2 * path.semilength, params.h, params.k), params.h)
 
 
 def _child_count(bits: int, n2: int, h: int, k: int) -> int:
@@ -238,15 +207,15 @@ def _rule_steps(params: ClassParams, n: int) -> Iterator[list[int]]:
         yield v
 
 
-def rule_counts(params: ClassParams, n: int) -> Counter[EcoLabel]:
-    """Label multiplicities after n steps of the succession rule.
+def rule_counts(params: ClassParams, n: int) -> Counter[str]:
+    """Label multiplicities after n steps of the succession rule, keyed by label text.
 
     Starts from one copy of the axiom (1); labels of multiplicity 0 are left
     out, and ``total()`` equals the number of class paths of semilength n.
     """
     for v in _rule_steps(params, n):
         pass
-    return Counter({_chain_label(p, params.h): c for p, c in enumerate(v, -1) if c})
+    return Counter({_label_text(p, params.h): c for p, c in enumerate(v, -1) if c})
 
 
 def rule_totals_upto(params: ClassParams, nmax: int) -> list[int]:

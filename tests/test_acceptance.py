@@ -122,7 +122,8 @@ def test_criterion_8_eco_structural_properties():
             break
         for p in level:
             kids = eco.children(p, params)
-            if len(kids) != eco.label_of(p, params).child_count(params.h):
+            label = eco.label_of(p, params)  # (l) has l children, (h_j) has h
+            if len(kids) != (params.h if label.startswith("(h_") else int(label[1:-1])):
                 ok, detail = False, f"label/child mismatch at {p.word!r}"
                 break
         if not ok or n == 10:

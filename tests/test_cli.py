@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,7 @@ class TestGenerate:
         assert code == 0
         records = json.loads(out)
         assert records[0] == {"word": "UDUD", "height": 1, "label": "(2)"}
+        assert Counter(r["label"] for r in records) == eco.rule_counts(ClassParams(4, 3), 2)
 
 
 class TestSeries:

@@ -1,4 +1,7 @@
+import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from valleyforge import eco
 from valleyforge.eco import (
     BLOCK,
-    EcoLabel,
     children,
     generate,
     invert_first_peak,
@@ -21,6 +23,7 @@ from valleyforge.oracle import brute_counts_upto, enumerate_dyck
 from valleyforge.paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class, parse_path
 
 H4K3 = ClassParams(4, 3)
+SUPPORTED = [(h, k) for k in range(2, 7) for h in range(1, 8)]
 
 
 def walked_levels(params: ClassParams, n: int) -> list[list[int]]:
@@ -40,27 +43,27 @@ def supported_params(draw):
 
 class TestLabelOf:
     def test_axiom(self):
-        assert label_of(EMPTY_PATH, H4K3) == EcoLabel.num(1)
+        assert label_of(EMPTY_PATH, H4K3) == "(1)"
 
     def test_single_peak(self):
-        assert label_of(parse_path("UD"), H4K3) == EcoLabel.num(2)
+        assert label_of(parse_path("UD"), H4K3) == "(2)"
 
     def test_saturated_run_gets_h_minus_one(self):
         # U^4 (DU) D^4: one valley at height 3 = k-2, so label (h-1) = (3)
         p = parse_path("UUUUDUDDDD")
-        assert label_of(p, H4K3) == EcoLabel.num(3)
+        assert label_of(p, H4K3) == "(3)"
         assert len(children(p, H4K3)) == 3
 
     def test_full_run_no_valley(self):
-        assert label_of(parse_path("UUUUDDDD"), H4K3) == EcoLabel.hdx(0)
+        assert label_of(parse_path("UUUUDDDD"), H4K3) == "(h_0)"
 
     def test_indexed_label_k4(self):
         params = ClassParams(4, 4)
-        assert label_of(parse_path("UUUUDUDDDD"), params) == EcoLabel.hdx(1)
+        assert label_of(parse_path("UUUUDUDDDD"), params) == "(h_1)"
 
     def test_k2_full_run(self):
         params = ClassParams(4, 2)
-        assert label_of(parse_path("UUUUDDDD"), params) == EcoLabel.num(3)
+        assert label_of(parse_path("UUUUDDDD"), params) == "(3)"
 
     def test_rejects_out_of_class(self):
         with pytest.raises(NotInClass):
@@ -69,11 +72,11 @@ class TestLabelOf:
     def test_wrap_label_at_h1_and_h2(self):
         # h = 1, k = 3: (UD)^2 has the most valleys at height 0; its label is (0)
         p = parse_path("UDUD")
-        assert str(label_of(p, ClassParams(1, 3))) == "(0)"
+        assert label_of(p, ClassParams(1, 3)) == "(0)"
         assert children(p, ClassParams(1, 3)) == []
         # h = 2, k = 3: a valley at height 1 after the full run goes back to the root's label
         p = parse_path("UUDUDD")
-        assert label_of(p, ClassParams(2, 3)) == EcoLabel.num(1)
+        assert label_of(p, ClassParams(2, 3)) == "(1)"
         assert [q.word for q in children(p, ClassParams(2, 3))] == ["UDUUDUDD"]
 
 
@@ -92,10 +95,12 @@ class TestChildren:
             assert is_in_class(q, H4K3)
 
     def test_child_count_matches_label(self):
-        for n in range(9):
-            for p in generate(H4K3, n):
-                label = label_of(p, H4K3)
-                assert len(children(p, H4K3)) == label.child_count(H4K3.h)
+        for h, k in SUPPORTED:
+            params = ClassParams(h, k)
+            for n in range(8):
+                for p in generate(params, n):
+                    label = label_of(p, params)
+                    assert len(children(p, params)) == _paper_child_count(label, h), (h, k, label)
 
 
 class TestGenerate:
@@ -175,10 +180,10 @@ class TestInvertFirstPeak:
 
 class TestRuleCounts:
     def test_axiom(self):
-        assert rule_counts(H4K3, 0) == {EcoLabel.num(1): 1}
+        assert rule_counts(H4K3, 0) == {"(1)": 1}
 
     def test_first_step(self):
-        assert rule_counts(H4K3, 1) == {EcoLabel.num(2): 1}
+        assert rule_counts(H4K3, 1) == {"(2)": 1}
 
     def test_total_matches_generation(self):
         for n in range(9):
@@ -191,7 +196,7 @@ class TestRuleCounts:
     def test_label_histogram_matches_paths(self, h, k):
         params = ClassParams(h, k)
         for n in range(8):
-            hist: dict[EcoLabel, int] = {}
+            hist: dict[str, int] = {}
             for p in generate(params, n):
                 label = label_of(p, params)
                 hist[label] = hist.get(label, 0) + 1
@@ -205,7 +210,7 @@ class TestRuleCounts:
     def test_h1_wrap_label_has_no_children(self):
         params = ClassParams(1, 3)
         assert [rule_counts(params, n) for n in range(4)] == [
-            {EcoLabel.num(1): 1}, {EcoLabel.hdx(0): 1}, {EcoLabel.num(0): 1}, {}]
+            {"(1)": 1}, {"(h_0)": 1}, {"(0)": 1}, {}]
         assert rule_totals_upto(params, 5) == [1, 1, 1, 0, 0, 0]
 
     @pytest.mark.parametrize("params", [H4K3, ClassParams(3, 2), ClassParams(6, 5),
@@ -218,34 +223,38 @@ class TestRuleCounts:
         assert tree_totals_upto(params, 8) == rule_totals_upto(params, 8)
 
 
-def _paper_successors(label: EcoLabel, h: int, k: int) -> list[EcoLabel]:
+def _paper_successors(label: str, h: int, k: int) -> list[str]:
     """The paper's four productions, written out label by label."""
-    num, hdx = EcoLabel.num, EcoLabel.hdx
-    full = [num(i) for i in range(2, h + 1)]
-    if label.kind == "num" and label.index < h:  # (l) -> (2) .. (l+1)
-        return [num(i) for i in range(2, label.index + 2)]
-    if label == num(h) and k >= 3:  # (h) -> (2) .. (h) (h_0)
-        return full + [hdx(0)]
-    if label.kind == "hdx" and label.index < k - 3:  # (h_j) -> (2) .. (h) (h_{j+1})
-        return full + [hdx(label.index + 1)]
-    return full + [num(h - 1)]  # (h_{k-3}), or (h) when k = 2 -> (2) .. (h) (h-1)
+    indexed = label.startswith("(h_")
+    index = int(label[3:-1] if indexed else label[1:-1])
+    full = [f"({i})" for i in range(2, h + 1)]
+    if not indexed and index < h:  # (l) -> (2) .. (l+1)
+        return [f"({i})" for i in range(2, index + 2)]
+    if label == f"({h})" and k >= 3:  # (h) -> (2) .. (h) (h_0)
+        return full + ["(h_0)"]
+    if indexed and index < k - 3:  # (h_j) -> (2) .. (h) (h_{j+1})
+        return full + [f"(h_{index + 1})"]
+    return full + [f"({h - 1})"]  # (h_{k-3}), or (h) when k = 2 -> (2) .. (h) (h-1)
+
+
+def _paper_child_count(label: str, h: int) -> int:
+    """The paper's rule read from the text: (l) has l children, (h_j) has h."""
+    return h if label.startswith("(h_") else int(label[1:-1])
 
 
 class TestRuleAgainstPaperProductions:
     @pytest.mark.parametrize("h,k", [(h, k) for k in range(2, 8) for h in range(1, 10)])
     def test_label_multiplicities(self, h, k):
         params = ClassParams(h, k)
-        counts = Counter({EcoLabel.num(1): 1})
+        counts = Counter({"(1)": 1})
         for n in range(41):
             assert rule_counts(params, n) == counts, n
-            nxt: Counter[EcoLabel] = Counter()
+            nxt: Counter[str] = Counter()
             for label, mult in counts.items():
                 for succ in _paper_successors(label, h, k):
                     nxt[succ] += mult
             counts = nxt
 
-
-SUPPORTED = [(h, k) for k in range(2, 7) for h in range(1, 8)]
 
 
 def _assert_each_level_is_children_of_the_previous(params: ClassParams, n: int) -> None:
@@ -325,3 +334,78 @@ class TestTreeTotals:
         monkeypatch.setattr(eco, "_walk", no_walk)
         with pytest.raises(ValueError):
             tree_totals_upto(H4K3, nmax)
+
+
+class _GrowthTree:
+    """Depth n of the ECO tree, ranked and unranked without listing it.
+
+    ``T[d][p]`` counts the paths d levels below a node at chain position p,
+    summed over the paper's productions of its label (Nijenhuis–Wilf's
+    recursive method).  Unranking descends with ``eco._grow`` and checks, at
+    every node, that the children's labels read from their bits are the
+    productions of the node's label; ranking climbs with
+    ``invert_first_peak``.
+    """
+
+    def __init__(self, params: ClassParams, n: int):
+        h, k = params.h, params.k
+        chain = range(-1, h + k - 2)
+        position = {eco._label_text(p, h): p for p in chain}
+        assert len(position) == len(chain)
+        self.productions = {p: [position[q] for q in _paper_successors(eco._label_text(p, h), h, k)]
+                            for p in chain}
+        self.T = [dict.fromkeys(chain, 1)]
+        for _ in range(n):
+            below = self.T[-1]
+            self.T.append({p: sum(map(below.__getitem__, succ))
+                           for p, succ in self.productions.items()})
+        self.params, self.n = params, n
+
+    def unrank(self, r: int) -> DyckPath:
+        """The r-th path of depth n in walk order."""
+        h, k, n = self.params.h, self.params.k, self.n
+        bits, p = EMPTY_PATH.bits, 0
+        for m in range(n):
+            kids = eco._grow(bits, 2 * m, h, k)
+            labels = [eco._label(c, 2 * m + 2, h, k) for c in kids]
+            assert labels == self.productions[p], (m, bits)
+            ends = list(accumulate(map(self.T[n - m - 1].__getitem__, labels)))
+            i = bisect_right(ends, r)
+            r -= ends[i - 1] if i else 0
+            bits, p = kids[i], labels[i]
+        path = DyckPath(bits, n)
+        assert is_in_class(path, self.params)
+        assert label_of(path, self.params) == eco._label_text(p, h)
+        return path
+
+    def rank(self, path: DyckPath) -> int:
+        h, k = self.params.h, self.params.k
+        r = 0
+        for d in range(self.n):
+            parent = invert_first_peak(path)
+            i = eco._up_run(path.bits, 2 * path.semilength) - 1  # child i has up-run i+1
+            siblings = self.productions[eco._label(parent.bits, 2 * parent.semilength, h, k)][:i]
+            r += sum(map(self.T[d].__getitem__, siblings))
+            path = parent
+        return r
+
+
+class TestRankPastTheCap:
+    """ECO evidence at depths no listing reaches."""
+
+    @pytest.mark.parametrize("h,k,n", [(7, 5, 300), (64, 5, 300), (3, 9, 500)])
+    def test_seeded_ranks_round_trip(self, h, k, n):
+        params = ClassParams(h, k)
+        tree = _GrowthTree(params, n)
+        total = tree.T[n][0]
+        assert total == brute_counts_upto(params, n)[n]
+        rng = random.Random(1000 * h + k)
+        for r in (rng.randrange(total) for _ in range(200)):
+            assert tree.rank(tree.unrank(r)) == r
+
+    def test_unrank_lists_the_walk_order(self):
+        params = ClassParams(5, 4)
+        tree = _GrowthTree(params, 10)
+        level = [bits for m, block in walk(params, 10) if m == 10 for bits in block]
+        assert len(level) == tree.T[10][0] == 13988
+        assert [tree.unrank(r).bits for r in range(len(level))] == level
