@@ -5,10 +5,12 @@ that every path of semilength n+1 in the class is produced exactly once
 from a path of semilength n.  :func:`walk` visits this ECO tree depth
 first, growing at most BLOCK parents at a time, so counting the tree
 (:func:`tree_totals_upto`) holds a few blocks per depth rather than whole
-levels.  The count builds every path up to depth n-1 and counts depth n
-from their labels, so its time grows with the paths above the last
-level.  Label dynamics reproduce the same counts without touching any
-concrete path.
+levels.  A block grows in one comprehension: its up-runs are read
+together, and a parent's valleys are read (by :func:`_label`) only when
+its up-run is full.  The count builds every path up to depth n-1 and
+counts depth n from their labels, so its time grows with the paths above
+the last level.  Label dynamics reproduce the same counts without
+touching any concrete path.
 
 The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
 this module a label is its text, such as "(3)" or "(h_0)", as the paper
@@ -72,28 +74,37 @@ def label_of(path: DyckPath, params: ClassParams) -> str:
     return _label_text(_label(path.bits, 2 * path.semilength, params.h, params.k), params.h)
 
 
-def _child_count(bits: int, n2: int, h: int, k: int) -> int:
-    """Number of children of a class path of 2n steps: c = min(q+1, h) at chain position q."""
-    c = _label(bits, n2, h, k) + 1  # a conditional, not min(): this runs once per tree node
-    return c if c < h else h
+def _child_counts(block: list[int], n2: int, h: int, k: int) -> list[int]:
+    """Child counts of a block of class paths of 2n steps: c = min(q+1, h) at chain position q.
 
-
-def _grow(bits: int, n2: int, h: int, k: int) -> list[int]:
-    """Bit patterns of the children of a class path of 2n steps, in site order.
-
-    Child i has a UD inserted before step i, for i = 0 .. c-1, where c is
-    :func:`_child_count`.  Child 0 is UD followed by the path.  Every site
-    lies on the initial up-run, so step i is a U and child i+1 is child i
-    with its inserted D moved one step right, past that U.  A path with
-    label (0) has no child.
+    One comprehension reads every initial up-run t of the block; a run
+    t < h gives t+1 children.  Only a full run (t = h) needs the valleys
+    after it, so only there is :func:`_label` called.
     """
-    c = _child_count(bits, n2, h, k)
-    child = (0b10 << n2) | bits
-    kids = [child] if c else []
-    for s in range(n2 - 1, n2 - c, -1):
-        child ^= 0b11 << s
-        kids.append(child)
-    return kids
+    full = (1 << n2) - 1
+    return [t + 1 if (t := n2 - (bits ^ full).bit_length()) < h
+            else min(_label(bits, n2, h, k) + 1, h)
+            for bits in block]
+
+
+def _grow(block: list[int], n2: int, h: int, k: int) -> list[int]:
+    """Bit patterns of the children of a block of class paths of 2n steps.
+
+    The children of each parent, in site order, follow those of the parent
+    before it.  Child i has a UD inserted before step i, for i = 0 .. c-1,
+    where c is the parent's count from :func:`_child_counts`.  Child 0 is UD
+    followed by the path.  Every site lies on the initial up-run, so step i
+    is a U and child i is child 0 with its inserted D moved i steps right:
+    child 0 XOR the i-th prefix mask.  The at most h masks are the same for
+    every parent of the block and are built once.  A path with label (0)
+    has no child.
+    """
+    masks = [0]
+    for s in range(n2 - 1, max(n2 - h, -1), -1):
+        masks.append(masks[-1] ^ (0b11 << s))
+    top = 0b10 << n2
+    return [(top | bits) ^ mask
+            for bits, c in zip(block, _child_counts(block, n2, h, k)) for mask in masks[:c]]
 
 
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
@@ -106,7 +117,7 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     order is deterministic.
     """
     m = path.semilength + 1
-    return [DyckPath(bits, m) for bits in _grow(path.bits, 2 * path.semilength, params.h, params.k)]
+    return [DyckPath(bits, m) for bits in _grow([path.bits], 2 * path.semilength, params.h, params.k)]
 
 
 # Parents grown into one block of children: the walk holds about
@@ -139,7 +150,7 @@ def _walk(h: int, k: int, n: int) -> Iterator[tuple[int, list[int]]]:
         m, block, start = stack.pop()
         if start + BLOCK < len(block):
             stack.append((m, block, start + BLOCK))
-        kids = [child for bits in block[start:start + BLOCK] for child in _grow(bits, 2 * m, h, k)]
+        kids = _grow(block[start:start + BLOCK], 2 * m, h, k)
         yield m + 1, kids
         if m + 1 < n:
             stack.append((m + 1, kids, 0))
@@ -159,8 +170,7 @@ def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
     for m, block in walk(params, last):
         totals[m] += len(block)
         if m == last:
-            n2 = 2 * m
-            totals[nmax] += sum(_child_count(bits, n2, h, k) for bits in block)
+            totals[nmax] += sum(_child_counts(block, 2 * m, h, k))
     return totals
 
 

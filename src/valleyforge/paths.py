@@ -142,13 +142,21 @@ def is_in_class(path: DyckPath, params: ClassParams) -> bool:
     """True iff the path has height <= h and valley-run at h-1 <= k-2."""
     if height(path) > params.h:
         return False
-    # Bit p survives when a (DU)^(k-1) factor ends with the DU at p; none at
-    # all means no forbidden run at any height.
-    du = _valleys(path.bits, 2 * path.semilength)
+    # Bit p survives when a (DU)^(k-1) factor ends with the DU at p.  Every
+    # valley of that factor sits where the D at p lands, at ordinate
+    # 2 * popcount(bits >> p) - (n2 - p): one popcount per factor.
+    bits, n2 = path.bits, 2 * path.semilength
+    du = _valleys(bits, n2)
     runs = du
     for s in range(2, 2 * (params.k - 1), 2):
         runs &= du >> s
-    return not runs or max_valley_run_at_height(path, params.h - 1) <= params.k - 2
+    target = params.h - 1 + n2  # ordinate h-1, with n2 - p moved to the left side
+    while runs:
+        p = runs.bit_length() - 1
+        if 2 * (bits >> p).bit_count() + p == target:
+            return False
+        runs ^= 1 << p
+    return True
 
 
 def catalan(n: int) -> int:

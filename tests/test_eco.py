@@ -308,6 +308,36 @@ class TestLevels:
             walk(H4K3, -1)
 
 
+def _grow_each(block: list[int], n2: int, h: int, k: int) -> tuple[list[int], list[int]]:
+    """Children and child counts of a block, one parent at a time, read from each label."""
+    kids, counts = [], []
+    for bits in block:
+        c = min(eco._label(bits, n2, h, k) + 1, h)
+        counts.append(c)
+        child = (0b10 << n2) | bits
+        if c:
+            kids.append(child)
+        for s in range(n2 - 1, n2 - c, -1):
+            child ^= 0b11 << s
+            kids.append(child)
+    return kids, counts
+
+
+class TestBlockGrowth:
+    """The batched growth of a block equals growing its parents one at a time.
+
+    The walked blocks include the root (n2 = 0), childless (0) parents at
+    h = 1, and blocks at 2m < h-1, where fewer than h site masks exist.
+    """
+
+    @pytest.mark.parametrize("h,k,n", [(h, k, 9) for h, k in SUPPORTED] + [(7, 5, 12)])
+    def test_every_walked_block(self, h, k, n):
+        for m, block in walk(ClassParams(h, k), n):
+            kids, counts = _grow_each(block, 2 * m, h, k)
+            assert eco._child_counts(block, 2 * m, h, k) == counts, (m, block[:3])
+            assert eco._grow(block, 2 * m, h, k) == kids, (m, block[:3])
+
+
 class TestTreeTotals:
     """tree_totals_upto counts the last depth from its parents' labels, without building it."""
 
@@ -316,6 +346,11 @@ class TestTreeTotals:
         params = ClassParams(h, k)
         for n in range(nmax + 1):
             assert tree_totals_upto(params, n) == [len(level) for level in walked_levels(params, n)]
+
+    @pytest.mark.parametrize("h,k", [(h, k) for h in range(8, 13) for k in range(2, 7)])
+    def test_matches_dp_above_the_supported_grid(self, h, k):
+        params = ClassParams(h, k)
+        assert tree_totals_upto(params, 12) == brute_counts_upto(params, 12)
 
     @pytest.mark.parametrize("h,k", [(4, 3), (7, 5)])
     def test_matches_dp_at_the_cap(self, h, k):
@@ -341,9 +376,9 @@ class _GrowthTree:
 
     ``T[d][p]`` counts the paths d levels below a node at chain position p,
     summed over the paper's productions of its label (Nijenhuis–Wilf's
-    recursive method).  Unranking descends with ``eco._grow`` and checks, at
-    every node, that the children's labels read from their bits are the
-    productions of the node's label; ranking climbs with
+    recursive method).  Unranking descends with ``eco._grow`` on a block of
+    one node and checks, at every node, that the children's labels read from
+    their bits are the productions of the node's label; ranking climbs with
     ``invert_first_peak``.
     """
 
@@ -366,7 +401,7 @@ class _GrowthTree:
         h, k, n = self.params.h, self.params.k, self.n
         bits, p = EMPTY_PATH.bits, 0
         for m in range(n):
-            kids = eco._grow(bits, 2 * m, h, k)
+            kids = eco._grow([bits], 2 * m, h, k)
             labels = [eco._label(c, 2 * m + 2, h, k) for c in kids]
             assert labels == self.productions[p], (m, bits)
             ends = list(accumulate(map(self.T[n - m - 1].__getitem__, labels)))

@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import FrozenInstanceError
 
@@ -165,6 +166,43 @@ class TestClassMembership:
     @given(random_dyck_words(max_semilength=40), st.integers(1, 12), st.integers(2, 8))
     def test_matches_word_reference(self, word, h, k):
         assert is_in_class(parse_path(word), ClassParams(h, k)) == class_reference(word, h, k)
+
+
+def _membership_by_runs(p: DyckPath, h: int, k: int) -> bool:
+    """Class membership from the height and the longest valley run at h-1."""
+    return height(p) <= h and max_valley_run_at_height(p, h - 1) <= k - 2
+
+
+def _bounded_walk(rng: random.Random, n: int, h: int) -> DyckPath:
+    """A seeded Dyck path of semilength n and height <= h, each free step a coin toss."""
+    bits = o = 0
+    for left in range(2 * n, 0, -1):
+        up = o < h and o < left - 1 and (o == 0 or rng.random() < 0.5)
+        bits = bits << 1 | up
+        o += 1 if up else -1
+    return DyckPath(bits, n)
+
+
+class TestMembershipAgreesWithValleyRuns:
+    """is_in_class places each (DU)^(k-1) factor; max_valley_run_at_height places every run."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_every_dyck_path(self, n):
+        for p in enumerate_dyck(n):
+            for h in range(1, 7):
+                for k in range(2, 6):
+                    assert is_in_class(p, ClassParams(h, k)) == _membership_by_runs(p, h, k)
+
+    @pytest.mark.parametrize("h,k,n", [(7, 5, 300), (3, 9, 500)])
+    def test_seeded_long_paths(self, h, k, n):
+        rng = random.Random(1000 * h + k)
+        seen = set()
+        for _ in range(200):
+            p = _bounded_walk(rng, n, h)
+            member = is_in_class(p, ClassParams(h, k))
+            assert member == _membership_by_runs(p, h, k)
+            seen.add(member)
+        assert seen == {True, False}  # both answers are checked
 
 
 class TestPredicatesExhaustive:
