@@ -31,7 +31,9 @@ from .paths import ClassParams, height
 # the calls.  Only eco lists paths: it walks the ECO tree in blocks, building
 # every path up to depth nmax-1 and counting depth nmax from their labels, so
 # its memory stays bounded but its time grows with the paths it builds, and
-# the commands that run it check the listing cap first.
+# the commands that run it check the listing cap first.  verify does not call
+# the eco entry: it counts each column of cells (one h, every k) from one walk
+# of the column's largest tree, eco.column_totals_upto.
 ROUTES = {
     "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
@@ -56,11 +58,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _verify_cell(job: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    """The counts of every route, in ROUTES order, for one (h, k) cell and n = 0..nmax."""
-    h, k, nmax = job
-    params = ClassParams(h, k)
-    return list(zip(*(route(params, nmax) for route in ROUTES.values())))
+def _verify_column(job: tuple[int, int, int, int]) -> list[list[tuple[int, ...]]]:
+    """For each k = k_lo..k_hi, the counts of every route, in ROUTES order, at n = 0..nmax.
+
+    The eco counts of the whole column come from one walk of its largest
+    tree; the other routes run per cell.
+    """
+    h, k_lo, k_hi, nmax = job
+    eco_counts = eco.column_totals_upto(h, k_lo, k_hi, nmax)
+    cells = []
+    for k, eco_k in zip(range(k_lo, k_hi + 1), eco_counts):
+        params = ClassParams(h, k)
+        cells.append(list(zip(*(eco_k if name == "eco" else route(params, nmax)
+                                for name, route in ROUTES.items()))))
+    return cells
 
 
 # Records per write of a JSON array: bounds what _emit holds, and keeps the
@@ -210,18 +221,19 @@ def _cmd_verify(args) -> int:
     cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
     oracle.check_cap(args.n_max, args.cap)
 
-    jobs = [(h, k, args.n_max) for h, k in cells]
+    jobs = [(h, k_lo, k_hi, args.n_max) for h in range(h_lo, h_hi + 1)]
     # Each worker is a process of its own, all started at once: never more
-    # than there are cells or CPUs.
+    # than there are columns or CPUs.
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it loads multiprocessing, which no other command needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_cell, jobs))
+            columns = list(pool.map(_verify_column, jobs))
     else:
-        results = [_verify_cell(job) for job in jobs]
+        columns = [_verify_column(job) for job in jobs]
+    results = [cell_rows for column in columns for cell_rows in column]
 
     failed = []
 

@@ -9,7 +9,10 @@ levels.  A block grows in one comprehension: its up-runs are read
 together, and a parent's valleys are read (by :func:`_label`) only when
 its up-run is full.  The count builds every path up to depth n-1 and
 counts depth n from their labels, so its time grows with the paths above
-the last level.  Label dynamics reproduce the same counts without
+the last level.  A larger k is a weaker restriction, so one walk of the
+(h, k_hi) tree counts a whole column k = k_lo..k_hi
+(:func:`column_totals_upto`): each block carries the least k whose class
+holds its paths.  Label dynamics reproduce the same counts without
 touching any concrete path.
 
 The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
@@ -25,6 +28,8 @@ suffix sums.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, compress
+from operator import add
 from typing import Iterator
 
 from .errors import EmptyPath, NotInClass
@@ -87,24 +92,48 @@ def _child_counts(block: list[int], n2: int, h: int, k: int) -> list[int]:
             for bits in block]
 
 
+def _site_masks(n2: int, h: int) -> list[int]:
+    """XOR masks that take child 0 of a parent of ``n2`` steps to child i, i = 0 .. min(h, n2+1) - 1.
+
+    Child 0 is UD followed by the path.  Every site lies on the initial
+    up-run, so step i is a U and child i is child 0 with its inserted D
+    moved i steps right: child 0 XOR the i-th prefix mask.
+    """
+    masks = [0]
+    for s in range(n2 - 1, max(n2 - h, -1), -1):
+        masks.append(masks[-1] ^ (0b11 << s))
+    return masks
+
+
 def _grow(block: list[int], n2: int, h: int, k: int) -> list[int]:
     """Bit patterns of the children of a block of class paths of 2n steps.
 
     The children of each parent, in site order, follow those of the parent
     before it.  Child i has a UD inserted before step i, for i = 0 .. c-1,
-    where c is the parent's count from :func:`_child_counts`.  Child 0 is UD
-    followed by the path.  Every site lies on the initial up-run, so step i
-    is a U and child i is child 0 with its inserted D moved i steps right:
-    child 0 XOR the i-th prefix mask.  The at most h masks are the same for
-    every parent of the block and are built once.  A path with label (0)
-    has no child.
+    where c is the parent's count from :func:`_child_counts`.  The at most h
+    masks of :func:`_site_masks` are the same for every parent of the block
+    and are built once.  A path with label (0) has no child.
     """
-    masks = [0]
-    for s in range(n2 - 1, max(n2 - h, -1), -1):
-        masks.append(masks[-1] ^ (0b11 << s))
+    masks = _site_masks(n2, h)
     top = 0b10 << n2
     return [(top | bits) ^ mask
             for bits, c in zip(block, _child_counts(block, n2, h, k)) for mask in masks[:c]]
+
+
+def _saturated(block: list[int], n2: int, h: int, k: int) -> list[int]:
+    """The paths of a block that begin U^h (DU)^(k-2): a full run and at least k-2 valleys at h-1.
+
+    In a block whose paths have no run of more than k-2 valleys at h-1,
+    these are the paths saturated at k, each with one child fewer in the
+    (h, k) tree than in any larger k's.  The heads are compared without a
+    Python-level step per path.
+    """
+    j = k - 2
+    shift = n2 - h - 2 * j
+    if shift <= 0:  # a Dyck path ends at height 0, never right after the head
+        return []
+    head = ((1 << h) - 1) << 2 * j | (4 ** j - 1) // 3  # U^h, then j times DU = 0b01
+    return list(compress(block, map(head.__eq__, map(shift.__rrshift__, block))))
 
 
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
@@ -138,40 +167,75 @@ def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _walk(params.h, params.k, n)
+    return ((m, block) for m, _, block in _walk(params.h, params.k, params.k, n))
 
 
-def _walk(h: int, k: int, n: int) -> Iterator[tuple[int, list[int]]]:
+def _walk(h: int, k_lo: int, k_hi: int, n: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The (h, k_hi) tree to depth n, as ``(m, kmin, block)``; every path of a block has kmin.
+
+    kmin = max(k_lo, r + 2), where r is the path's longest run of valleys
+    at h-1: the least k in k_lo..k_hi whose class holds the path.  A child
+    keeps its parent's valleys at h-1 except the child at site h-1, whose
+    new valley joins the ones after the parent's full run.  So a block's
+    children in the (h, kmin) tree keep kmin, and the only others are the
+    site h-1 children of its paths saturated at kmin: their run is kmin-1
+    long, and they go to a block of kmin + 1.  A block at kmin = k_hi
+    grows in the (h, k_hi) tree, splits no further and keeps the walk
+    order, as for :func:`walk`, where k_lo = k_hi.
+    """
     root = [EMPTY_PATH.bits]
-    yield 0, root
-    # (depth, block, offset of the next parents to grow), deepest on top.
-    stack = [(0, root, 0)] if n else []
+    yield 0, k_lo, root
+    # (depth, kmin, block, offset of the next parents to grow), deepest on top.
+    stack = [(0, k_lo, root, 0)] if n else []
     while stack:
-        m, block, start = stack.pop()
+        m, kmin, block, start = stack.pop()
         if start + BLOCK < len(block):
-            stack.append((m, block, start + BLOCK))
-        kids = _grow(block[start:start + BLOCK], 2 * m, h, k)
-        yield m + 1, kids
-        if m + 1 < n:
-            stack.append((m + 1, kids, 0))
+            stack.append((m, kmin, block, start + BLOCK))
+        n2, parents = 2 * m, block[start:start + BLOCK]
+        grown = [(kmin, _grow(parents, n2, h, kmin))]
+        if kmin < k_hi and (saturated := _saturated(parents, n2, h, kmin)):
+            top, site = 0b10 << n2, _site_masks(n2, h)[h - 1]
+            grown.append((kmin + 1, [(top | bits) ^ site for bits in saturated]))
+        for g, kids in grown:
+            yield m + 1, g, kids
+            if m + 1 < n:
+                stack.append((m + 1, g, kids, 0))
+
+
+def column_totals_upto(h: int, k_lo: int, k_hi: int, nmax: int) -> list[list[int]]:
+    """ECO-tree class counts for n = 0..nmax, one list per k = k_lo..k_hi, from one walk.
+
+    A larger k is a weaker restriction and the parent map does not depend
+    on k, so every (h, k) tree is the part of the (h, k_hi) tree whose
+    blocks have kmin <= k.  The walk builds that tree up to depth nmax-1
+    and counts, for each k, the paths of those blocks per depth.  Depth
+    nmax is not built: a block's paths have, summed, the child counts of
+    :func:`_child_counts` in the (h, kmin) tree, and one child more per
+    saturated path in every larger k's tree.
+    """
+    ClassParams(h, k_lo)  # refuses h < 1 and k_lo < 2
+    if k_hi < k_lo:
+        raise ValueError(f"empty k range {k_lo}..{k_hi}")
+    if nmax < 0:
+        raise ValueError("n must be >= 0")
+    # rows[j][m]: the paths at depth m of the blocks with kmin = k_lo + j, and
+    # at depth nmax, the children in the (h, k_lo + j) tree that no block of a
+    # smaller kmin accounts for.  Their running sums over j are the counts.
+    rows = [[0] * (nmax + 1) for _ in range(k_lo, k_hi + 1)]
+    last = nmax - 1
+    for m, kmin, block in _walk(h, k_lo, k_hi, max(last, 0)):
+        j = kmin - k_lo
+        rows[j][m] += len(block)
+        if m == last:
+            rows[j][nmax] += sum(_child_counts(block, 2 * m, h, kmin))
+            if kmin < k_hi:
+                rows[j + 1][nmax] += len(_saturated(block, 2 * m, h, kmin))
+    return list(accumulate(rows, lambda acc, row: list(map(add, acc, row))))
 
 
 def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
-    """ECO-tree class counts for every semilength 0..nmax.
-
-    The walk builds every class path up to depth nmax-1 and sums the block
-    lengths per depth.  Depth nmax is not built: its count is the sum of
-    the child counts of the paths at depth nmax-1, read from their bits.
-    """
-    if nmax <= 0:  # the root alone, or walk's ValueError
-        return [len(block) for _, block in walk(params, nmax)]
-    h, k, last = params.h, params.k, nmax - 1
-    totals = [0] * (nmax + 1)
-    for m, block in walk(params, last):
-        totals[m] += len(block)
-        if m == last:
-            totals[nmax] += sum(_child_counts(block, 2 * m, h, k))
-    return totals
+    """ECO-tree class counts for every semilength 0..nmax: a column of one k."""
+    return column_totals_upto(params.h, params.k, params.k, nmax)[0]
 
 
 def generate(params: ClassParams, n: int) -> list[DyckPath]:

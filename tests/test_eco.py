@@ -10,6 +10,7 @@ from valleyforge import eco
 from valleyforge.eco import (
     BLOCK,
     children,
+    column_totals_upto,
     generate,
     invert_first_peak,
     label_of,
@@ -20,7 +21,14 @@ from valleyforge.eco import (
 )
 from valleyforge.errors import EmptyPath, NotInClass
 from valleyforge.oracle import brute_counts_upto, enumerate_dyck
-from valleyforge.paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class, parse_path
+from valleyforge.paths import (
+    EMPTY_PATH,
+    ClassParams,
+    DyckPath,
+    is_in_class,
+    max_valley_run_at_height,
+    parse_path,
+)
 
 H4K3 = ClassParams(4, 3)
 SUPPORTED = [(h, k) for k in range(2, 7) for h in range(1, 8)]
@@ -369,6 +377,45 @@ class TestTreeTotals:
         monkeypatch.setattr(eco, "_walk", no_walk)
         with pytest.raises(ValueError):
             tree_totals_upto(H4K3, nmax)
+
+
+K_RANGES = [(k_lo, k_hi) for k_lo in range(2, 7) for k_hi in range(k_lo, 7)]
+
+
+class TestColumns:
+    """One walk of the (h, k_hi) tree counts every k = k_lo..k_hi."""
+
+    @pytest.mark.parametrize("h", range(1, 8))
+    def test_every_block_holds_its_kmin(self, h):
+        for k_lo, k_hi in K_RANGES:
+            levels: list[list[int]] = [[] for _ in range(10)]
+            for m, kmin, block in eco._walk(h, k_lo, k_hi, 9):
+                assert k_lo <= kmin <= k_hi
+                for bits in block:
+                    run = max_valley_run_at_height(DyckPath(bits, m), h - 1)
+                    assert kmin == max(k_lo, run + 2), (h, k_lo, k_hi, m, bits)
+                levels[m].extend(block)
+            # the blocks, whatever their kmin, make up the whole (h, k_hi) tree
+            whole = walked_levels(ClassParams(h, k_hi), 9)
+            assert [sorted(level) for level in levels] == [sorted(level) for level in whole]
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_columns_match_dp(self, h):
+        brute = {k: brute_counts_upto(ClassParams(h, k), 10) for k in range(2, 7)}
+        for k_lo, k_hi in K_RANGES:
+            for nmax in range(11):
+                want = [brute[k][:nmax + 1] for k in range(k_lo, k_hi + 1)]
+                assert column_totals_upto(h, k_lo, k_hi, nmax) == want, (k_lo, k_hi, nmax)
+
+    @pytest.mark.parametrize("h,k_lo,k_hi,nmax", [(0, 3, 4, 5), (4, 1, 4, 5), (4, 4, 3, 5),
+                                                  (4, 3, 4, -1)])
+    def test_errors_are_raised_before_any_work(self, monkeypatch, h, k_lo, k_hi, nmax):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(eco, "_walk", no_walk)
+        with pytest.raises(ValueError):
+            column_totals_upto(h, k_lo, k_hi, nmax)
 
 
 class _GrowthTree:
