@@ -32,8 +32,11 @@ from .paths import ClassParams, height
 # every path up to depth nmax-1 and counting depth nmax from their labels, so
 # its memory stays bounded but its time grows with the paths it builds, and
 # the commands that run it check the listing cap first.  verify does not call
-# the eco entry: it counts each column of cells (one h, every k) from one walk
-# of the column's largest tree, eco.column_totals_upto.
+# the eco entry: it counts a whole grid of cells from one walk of its largest
+# tree, eco.grid_totals_upto.  Each block of that walk carries the least cell
+# of a chain, (h_lo, k_lo) .. (h_lo, k_hi), (h_lo+1, k_lo) .., whose class
+# holds its paths; a saturated run raises a child to the next cell and a full
+# up-run raises the child above it to the next h.
 ROUTES = {
     "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
@@ -58,19 +61,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _verify_column(job: tuple[int, int, int, int]) -> list[list[tuple[int, ...]]]:
-    """For each k = k_lo..k_hi, the counts of every route, in ROUTES order, at n = 0..nmax.
+def _verify_grid(job: tuple[int, int, int, int, int]) -> list[list[tuple[int, ...]]]:
+    """For each cell (h, k) in row order, the counts of every route, in ROUTES order, at n = 0..nmax.
 
-    The eco counts of the whole column come from one walk of its largest
+    The eco counts of the whole grid come from one walk of its largest
     tree; the other routes run per cell.
     """
-    h, k_lo, k_hi, nmax = job
-    eco_counts = eco.column_totals_upto(h, k_lo, k_hi, nmax)
+    h_lo, h_hi, k_lo, k_hi, nmax = job
+    eco_counts = eco.grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax)
     cells = []
-    for k, eco_k in zip(range(k_lo, k_hi + 1), eco_counts):
-        params = ClassParams(h, k)
-        cells.append(list(zip(*(eco_k if name == "eco" else route(params, nmax)
-                                for name, route in ROUTES.items()))))
+    for h, eco_h in zip(range(h_lo, h_hi + 1), eco_counts):
+        for k, eco_hk in zip(range(k_lo, k_hi + 1), eco_h):
+            params = ClassParams(h, k)
+            cells.append(list(zip(*(eco_hk if name == "eco" else route(params, nmax)
+                                    for name, route in ROUTES.items()))))
     return cells
 
 
@@ -221,19 +225,23 @@ def _cmd_verify(args) -> int:
     cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
     oracle.check_cap(args.n_max, args.cap)
 
-    jobs = [(h, k_lo, k_hi, args.n_max) for h in range(h_lo, h_hi + 1)]
     # Each worker is a process of its own, all started at once: never more
-    # than there are columns or CPUs.
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    # than there are h or CPUs.  A job is a run of consecutive h, every k;
+    # the runs are near-equal in length and in order.
+    heights = h_hi - h_lo + 1
+    workers = min(args.jobs, heights, os.cpu_count() or 1)
+    size, extra = divmod(heights, workers)
+    starts = [h_lo + i * size + min(i, extra) for i in range(workers + 1)]
+    jobs = [(lo, hi - 1, k_lo, k_hi, args.n_max) for lo, hi in zip(starts, starts[1:])]
     if workers > 1:
         # Imported here: it loads multiprocessing, which no other command needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_verify_column, jobs))
+            grids = list(pool.map(_verify_grid, jobs))
     else:
-        columns = [_verify_column(job) for job in jobs]
-    results = [cell_rows for column in columns for cell_rows in column]
+        grids = [_verify_grid(job) for job in jobs]
+    results = [cell_rows for grid in grids for cell_rows in grid]
 
     failed = []
 

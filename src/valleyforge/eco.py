@@ -9,11 +9,15 @@ levels.  A block grows in one comprehension: its up-runs are read
 together, and a parent's valleys are read (by :func:`_label`) only when
 its up-run is full.  The count builds every path up to depth n-1 and
 counts depth n from their labels, so its time grows with the paths above
-the last level.  A larger k is a weaker restriction, so one walk of the
-(h, k_hi) tree counts a whole column k = k_lo..k_hi
-(:func:`column_totals_upto`): each block carries the least k whose class
-holds its paths.  Label dynamics reproduce the same counts without
-touching any concrete path.
+the last level.  A path of the class (h, k) lies in (h+1, k') for every
+k', and a larger k is a weaker restriction, so one walk of the
+(h_hi, k_hi) tree counts a whole grid of cells (:func:`grid_totals_upto`).
+The cells are taken on one chain, k inside h, and each block carries the
+least cell whose class holds its paths.  A block's children keep its cell,
+except two kinds, raised to a later one: the child that lengthens a
+saturated run of valleys goes to the next cell, and the child above a full
+up-run goes to the next h.  Label dynamics reproduce the same counts
+without touching any concrete path.
 
 The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
 this module a label is its text, such as "(3)" or "(h_0)", as the paper
@@ -125,8 +129,8 @@ def _saturated(block: list[int], n2: int, h: int, k: int) -> list[int]:
 
     In a block whose paths have no run of more than k-2 valleys at h-1,
     these are the paths saturated at k, each with one child fewer in the
-    (h, k) tree than in any larger k's.  The heads are compared without a
-    Python-level step per path.
+    (h, k) tree than in any later cell's of :func:`_walk`'s chain.  The
+    heads are compared without a Python-level step per path.
     """
     j = k - 2
     shift = n2 - h - 2 * j
@@ -167,75 +171,109 @@ def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return ((m, block) for m, _, block in _walk(params.h, params.k, params.k, n))
+    h, k = params.h, params.k
+    return ((m, block) for m, _, _, block in _walk(h, h, k, k, n))
 
 
-def _walk(h: int, k_lo: int, k_hi: int, n: int) -> Iterator[tuple[int, int, list[int]]]:
-    """The (h, k_hi) tree to depth n, as ``(m, kmin, block)``; every path of a block has kmin.
+def _full(block: list[int], n2: int, h: int) -> list[int]:
+    """The paths of a block of 2n steps whose initial up-run is full: they begin U^h D.
 
-    kmin = max(k_lo, r + 2), where r is the path's longest run of valleys
-    at h-1: the least k in k_lo..k_hi whose class holds the path.  A child
-    keeps its parent's valleys at h-1 except the child at site h-1, whose
-    new valley joins the ones after the parent's full run.  So a block's
-    children in the (h, kmin) tree keep kmin, and the only others are the
-    site h-1 children of its paths saturated at kmin: their run is kmin-1
-    long, and they go to a block of kmin + 1.  A block at kmin = k_hi
-    grows in the (h, k_hi) tree, splits no further and keeps the walk
-    order, as for :func:`walk`, where k_lo = k_hi.
+    In a block of paths of height at most h, these are the paths with one
+    child more in every taller tree: the child at site h, of height h+1.
+    The heads are compared without a Python-level step per path, as in
+    :func:`_saturated`.
+    """
+    shift = n2 - h - 1
+    if shift < 0:
+        return []
+    head = (1 << h + 1) - 2  # U^h D
+    return list(compress(block, map(head.__eq__, map(shift.__rrshift__, block))))
+
+
+def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
+          n: int) -> Iterator[tuple[int, int, int, list[int]]]:
+    """The (h_hi, k_hi) tree to depth n, as ``(m, hm, km, block)``.
+
+    The cells (h, k) are taken on one chain, (h_lo, k_lo) .. (h_lo, k_hi),
+    (h_lo+1, k_lo) .. (h_hi, k_hi).  A path of height H whose longest run
+    of valleys at H-1 is r lies in every cell with h > H and in the cells
+    (H, k) with k >= r+2: an up-set of the chain.  (hm, km) is the least
+    cell of that set, the same for every path of the block.  Removing the
+    first peak depends on neither h nor k, so a block's children in the
+    (hm, km) tree keep (hm, km).  Its only other children are raised:
+    the site hm-1 children of its paths saturated at km (a run of km-1
+    valleys at hm-1), which go to the next cell of the chain, and, below
+    h_hi, the site hm children of its paths whose up-run is full (height
+    hm+1), which go to (hm+1, k_lo).  On a chain of one cell, as for
+    :func:`walk`, nothing is raised, and the walk order is the tree's.
     """
     root = [EMPTY_PATH.bits]
-    yield 0, k_lo, root
-    # (depth, kmin, block, offset of the next parents to grow), deepest on top.
-    stack = [(0, k_lo, root, 0)] if n else []
+    yield 0, h_lo, k_lo, root
+    # (depth, hm, km, block, offset of the next parents to grow), deepest on top.
+    stack = [(0, h_lo, k_lo, root, 0)] if n else []
     while stack:
-        m, kmin, block, start = stack.pop()
+        m, hm, km, block, start = stack.pop()
         if start + BLOCK < len(block):
-            stack.append((m, kmin, block, start + BLOCK))
+            stack.append((m, hm, km, block, start + BLOCK))
         n2, parents = 2 * m, block[start:start + BLOCK]
-        grown = [(kmin, _grow(parents, n2, h, kmin))]
-        if kmin < k_hi and (saturated := _saturated(parents, n2, h, kmin)):
-            top, site = 0b10 << n2, _site_masks(n2, h)[h - 1]
-            grown.append((kmin + 1, [(top | bits) ^ site for bits in saturated]))
-        for g, kids in grown:
-            yield m + 1, g, kids
+        grown = [(hm, km, _grow(parents, n2, hm, km))]
+        top = 0b10 << n2
+        if (hm < h_hi or km < k_hi) and (saturated := _saturated(parents, n2, hm, km)):
+            site = _site_masks(n2, hm)[hm - 1]
+            raised = (hm, km + 1) if km < k_hi else (hm + 1, k_lo)
+            grown.append((*raised, [(top | bits) ^ site for bits in saturated]))
+        if hm < h_hi and (full := _full(parents, n2, hm)):
+            site = _site_masks(n2, hm + 1)[hm]
+            grown.append((hm + 1, k_lo, [(top | bits) ^ site for bits in full]))
+        for g_h, g_k, kids in grown:
+            yield m + 1, g_h, g_k, kids
             if m + 1 < n:
-                stack.append((m + 1, g, kids, 0))
+                stack.append((m + 1, g_h, g_k, kids, 0))
 
 
-def column_totals_upto(h: int, k_lo: int, k_hi: int, nmax: int) -> list[list[int]]:
-    """ECO-tree class counts for n = 0..nmax, one list per k = k_lo..k_hi, from one walk.
+def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> list[list[list[int]]]:
+    """ECO-tree class counts for n = 0..nmax, indexed [h - h_lo][k - k_lo][n], from one walk.
 
-    A larger k is a weaker restriction and the parent map does not depend
-    on k, so every (h, k) tree is the part of the (h, k_hi) tree whose
-    blocks have kmin <= k.  The walk builds that tree up to depth nmax-1
-    and counts, for each k, the paths of those blocks per depth.  Depth
-    nmax is not built: a block's paths have, summed, the child counts of
-    :func:`_child_counts` in the (h, kmin) tree, and one child more per
-    saturated path in every larger k's tree.
+    Every cell's tree is the part of the (h_hi, k_hi) tree whose blocks have
+    a least cell (hm, km) no later on the chain of :func:`_walk`, so depth m
+    of a cell counts the paths at depth m of the blocks up to it: one
+    running sum over the chain.  The walk builds the tree up to depth
+    nmax-1.  Depth nmax is not built: a block's paths have, summed, the
+    child counts of :func:`_child_counts` in the (hm, km) tree, one child
+    more per saturated path from the next cell on, and one more per full
+    up-run from (hm+1, k_lo) on.
     """
-    ClassParams(h, k_lo)  # refuses h < 1 and k_lo < 2
+    ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
+    if h_hi < h_lo:
+        raise ValueError(f"empty h range {h_lo}..{h_hi}")
     if k_hi < k_lo:
         raise ValueError(f"empty k range {k_lo}..{k_hi}")
     if nmax < 0:
         raise ValueError("n must be >= 0")
-    # rows[j][m]: the paths at depth m of the blocks with kmin = k_lo + j, and
-    # at depth nmax, the children in the (h, k_lo + j) tree that no block of a
-    # smaller kmin accounts for.  Their running sums over j are the counts.
-    rows = [[0] * (nmax + 1) for _ in range(k_lo, k_hi + 1)]
+    width = k_hi - k_lo + 1
+    # rows[c][m]: the paths at depth m of the blocks whose least cell is the
+    # c-th of the chain, and at depth nmax, the children whose least cell it
+    # is.  Their running sums over c are the counts.
+    rows = [[0] * (nmax + 1) for _ in range(width * (h_hi - h_lo + 1))]
     last = nmax - 1
-    for m, kmin, block in _walk(h, k_lo, k_hi, max(last, 0)):
-        j = kmin - k_lo
-        rows[j][m] += len(block)
+    for m, hm, km, block in _walk(h_lo, h_hi, k_lo, k_hi, max(last, 0)):
+        c = (hm - h_lo) * width + km - k_lo
+        rows[c][m] += len(block)
         if m == last:
-            rows[j][nmax] += sum(_child_counts(block, 2 * m, h, kmin))
-            if kmin < k_hi:
-                rows[j + 1][nmax] += len(_saturated(block, 2 * m, h, kmin))
-    return list(accumulate(rows, lambda acc, row: list(map(add, acc, row))))
+            n2 = 2 * m
+            rows[c][nmax] += sum(_child_counts(block, n2, hm, km))
+            if c + 1 < len(rows):
+                rows[c + 1][nmax] += len(_saturated(block, n2, hm, km))
+            if hm < h_hi:
+                rows[(hm + 1 - h_lo) * width][nmax] += len(_full(block, n2, hm))
+    cells = list(accumulate(rows, lambda acc, row: list(map(add, acc, row))))
+    return [cells[i:i + width] for i in range(0, len(cells), width)]
 
 
 def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
-    """ECO-tree class counts for every semilength 0..nmax: a column of one k."""
-    return column_totals_upto(params.h, params.k, params.k, nmax)[0]
+    """ECO-tree class counts for every semilength 0..nmax: a grid of one cell."""
+    h, k = params.h, params.k
+    return grid_totals_upto(h, h, k, k, nmax)[0][0]
 
 
 def generate(params: ClassParams, n: int) -> list[DyckPath]:

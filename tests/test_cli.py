@@ -292,13 +292,14 @@ class TestOddRouteOut:
 
 
 class TestVerifyJobs:
-    # A job is a column: one h, every k.
+    # A job is a run of consecutive h, every k: one run per worker, the runs near-equal.
     @pytest.mark.parametrize("h_range,k_range,cpus,pools", [
-        ("4..5", "3..4", 8, [2]),    # capped at the columns
+        ("4..5", "3..4", 8, [2]),    # capped at the h
         ("4..7", "3", 3, [3]),       # capped at the CPUs
         ("4", "3", 8, []),           # one cell: no pool
         ("4..5", "3..4", None, []),  # CPU count unknown: taken as one, no pool
-        ("4", "3..6", 8, []),        # one column: no pool
+        ("4", "3..6", 8, []),        # one h: no pool
+        ("4..8", "3..4", 2, [2]),    # runs of 3 and 2 h
     ])
     def test_pool_never_exceeds_cells_or_cpus(self, capsys, monkeypatch, h_range, k_range,
                                               cpus, pools):
@@ -328,7 +329,7 @@ class TestVerifyJobs:
         assert out == run(capsys, *argv, "--jobs", "1")[1]
 
     def test_real_pool_matches_one_process(self, capsys, monkeypatch):
-        # Two columns on two CPUs start a real pool, which must pickle _verify_column.
+        # Two h on two CPUs start a real pool, which must pickle _verify_grid.
         from concurrent import futures
 
         sizes = []
@@ -520,6 +521,7 @@ GOLDEN_COMMANDS = {
     "verify_h3": ["verify", "--h", "3", "--k", "2..6", "--n-max", "12", "--jobs", "1"],
     "verify_h1_3": ["verify", "--h", "1..3", "--k", "2..6", "--n-max", "12", "--jobs", "1"],
     "verify_wide": ["verify", "--h", "4..6", "--k", "2..7", "--n-max", "13", "--jobs", "1"],
+    "verify_tall": ["verify", "--h", "1..9", "--k", "2..4", "--n-max", "12", "--jobs", "1"],
     "generate_none": ["generate", "--h", "1", "--k", "2", "--n", "3"],
     "generate_listing": ["generate", "--h", "7", "--k", "5", "--n", "12"],
     "identity_deep": ["identity", "--h-min", "4", "--h-max", "160"],
@@ -558,6 +560,8 @@ GOLDEN = [
     ("verify_h1_3", "plain", 0, "e35810c38e5852fcd4747256bccb83659a1581e37fec434359e2b4d7d860580e", 9480),
     # wide columns, k = 2..7 at h = 4..6, n <= 13: k = 2 saturates every full run
     ("verify_wide", "plain", 0, "69bac76d50ff6f83a3b213641e7e36056199a4d9f8c3f7dc8c30b6f3bcbbe15a", 13520),
+    # a tall grid, h = 1..9 at k = 2..4, n <= 12: one walk crosses h = 1 and 2 and raises h many times
+    ("verify_tall", "plain", 0, "2ea23c9192881f691d6eb8dc33035de660e52e9452529f05a00b2bcfeca40e7d", 18028),
     # h = 1, k = 2 has no path of semilength 3: no line, no csv header, an empty JSON array
     ("generate_none", "plain", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("generate_none", "json", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570", 3),

@@ -10,8 +10,8 @@ from valleyforge import eco
 from valleyforge.eco import (
     BLOCK,
     children,
-    column_totals_upto,
     generate,
+    grid_totals_upto,
     invert_first_peak,
     label_of,
     rule_counts,
@@ -25,6 +25,7 @@ from valleyforge.paths import (
     EMPTY_PATH,
     ClassParams,
     DyckPath,
+    height,
     is_in_class,
     max_valley_run_at_height,
     parse_path,
@@ -382,40 +383,92 @@ class TestTreeTotals:
 K_RANGES = [(k_lo, k_hi) for k_lo in range(2, 7) for k_hi in range(k_lo, 7)]
 
 
+def _least_cell(bits: int, m: int, h_lo: int, k_lo: int, k_hi: int) -> tuple[int, int]:
+    """The least cell (h, k) of the chain whose class holds the path, read from its valleys.
+
+    A path of height H whose longest run of valleys at H-1 is r lies in the
+    cells (H, k) with k >= r+2 and in every cell with h > H.
+    """
+    path = DyckPath(bits, m)
+    top = height(path)
+    if top < h_lo:
+        return h_lo, k_lo
+    k = max(k_lo, max_valley_run_at_height(path, top - 1) + 2)
+    return (top, k) if k <= k_hi else (top + 1, k_lo)
+
+
+def _assert_blocks_hold_their_cells(h_lo, h_hi, k_lo, k_hi, n):
+    """Every block's (hm, km) is its paths' least cell, and the blocks make up the whole tree."""
+    levels: list[list[int]] = [[] for _ in range(n + 1)]
+    for m, hm, km, block in eco._walk(h_lo, h_hi, k_lo, k_hi, n):
+        assert h_lo <= hm <= h_hi and k_lo <= km <= k_hi
+        for bits in block:
+            assert _least_cell(bits, m, h_lo, k_lo, k_hi) == (hm, km), (h_lo, h_hi, k_lo, k_hi, m, bits)
+        levels[m].extend(block)
+    whole = walked_levels(ClassParams(h_hi, k_hi), n)
+    assert [sorted(level) for level in levels] == [sorted(level) for level in whole]
+
+
+def _assert_grids_match_dp(h_lo, h_hi, nmaxes):
+    brute = {(h, k): brute_counts_upto(ClassParams(h, k), max(nmaxes))
+             for h in range(h_lo, h_hi + 1) for k in range(2, 7)}
+    for k_lo, k_hi in K_RANGES:
+        for nmax in nmaxes:
+            want = [[brute[h, k][:nmax + 1] for k in range(k_lo, k_hi + 1)]
+                    for h in range(h_lo, h_hi + 1)]
+            assert grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax) == want, (k_lo, k_hi, nmax)
+
+
+def _assert_no_walk(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax):
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(eco, "_walk", no_walk)
+    with pytest.raises(ValueError):
+        grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax)
+
+
 class TestColumns:
-    """One walk of the (h, k_hi) tree counts every k = k_lo..k_hi."""
+    """A grid of one h: one walk of the (h, k_hi) tree counts every k = k_lo..k_hi."""
 
     @pytest.mark.parametrize("h", range(1, 8))
     def test_every_block_holds_its_kmin(self, h):
         for k_lo, k_hi in K_RANGES:
-            levels: list[list[int]] = [[] for _ in range(10)]
-            for m, kmin, block in eco._walk(h, k_lo, k_hi, 9):
-                assert k_lo <= kmin <= k_hi
-                for bits in block:
-                    run = max_valley_run_at_height(DyckPath(bits, m), h - 1)
-                    assert kmin == max(k_lo, run + 2), (h, k_lo, k_hi, m, bits)
-                levels[m].extend(block)
-            # the blocks, whatever their kmin, make up the whole (h, k_hi) tree
-            whole = walked_levels(ClassParams(h, k_hi), 9)
-            assert [sorted(level) for level in levels] == [sorted(level) for level in whole]
+            _assert_blocks_hold_their_cells(h, h, k_lo, k_hi, 9)
 
     @pytest.mark.parametrize("h", range(1, 9))
     def test_columns_match_dp(self, h):
-        brute = {k: brute_counts_upto(ClassParams(h, k), 10) for k in range(2, 7)}
-        for k_lo, k_hi in K_RANGES:
-            for nmax in range(11):
-                want = [brute[k][:nmax + 1] for k in range(k_lo, k_hi + 1)]
-                assert column_totals_upto(h, k_lo, k_hi, nmax) == want, (k_lo, k_hi, nmax)
+        _assert_grids_match_dp(h, h, range(11))
 
     @pytest.mark.parametrize("h,k_lo,k_hi,nmax", [(0, 3, 4, 5), (4, 1, 4, 5), (4, 4, 3, 5),
                                                   (4, 3, 4, -1)])
     def test_errors_are_raised_before_any_work(self, monkeypatch, h, k_lo, k_hi, nmax):
-        def no_walk(*args):
-            raise AssertionError("walked")
+        _assert_no_walk(monkeypatch, h, h, k_lo, k_hi, nmax)
 
-        monkeypatch.setattr(eco, "_walk", no_walk)
-        with pytest.raises(ValueError):
-            column_totals_upto(h, k_lo, k_hi, nmax)
+
+class TestGrid:
+    """Grids of several h: one walk of the (h_hi, k_hi) tree counts every cell."""
+
+    @pytest.mark.parametrize("h_lo", range(1, 7))
+    def test_every_block_holds_its_least_cell(self, h_lo):
+        for h_hi in range(h_lo + 1, 8):
+            for k_lo, k_hi in [(2, 2), (2, 4), (3, 5), (5, 6), (6, 6)]:
+                _assert_blocks_hold_their_cells(h_lo, h_hi, k_lo, k_hi, 7)
+
+    @pytest.mark.parametrize("h_lo", range(1, 8))
+    def test_grids_match_dp(self, h_lo):
+        for h_hi in range(h_lo + 1, 9):
+            _assert_grids_match_dp(h_lo, h_hi, [0, 1, 2, 9])
+
+    def test_acceptance_grid_builds_the_largest_tree_once(self):
+        # the paths of the (7, 5) tree up to depth 11, where a walk per h built 268,257
+        assert sum(len(block) for *_, block in eco._walk(4, 7, 3, 5, 11)) == 81_231
+        assert sum(brute_counts_upto(ClassParams(7, 5), 11)) == 81_231
+
+    @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi,nmax", [
+        (0, 3, 3, 4, 5), (5, 4, 3, 4, 5), (4, 5, 1, 4, 5), (4, 5, 4, 3, 5), (4, 5, 3, 4, -1)])
+    def test_errors_are_raised_before_any_work(self, monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax):
+        _assert_no_walk(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
 
 
 class _GrowthTree:
