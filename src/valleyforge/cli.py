@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_range, required=True, help="height bound or range, e.g. 4..7")
     p.add_argument("--k", type=_parse_range, required=True, help="run bound or range, e.g. 3..5")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     return parser

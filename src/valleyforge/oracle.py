@@ -3,8 +3,12 @@
 Deliberately shares no code with the ECO engine or the series engine; this
 module is the independent oracle the other routes are checked against.
 ``enumerate_dyck`` filtered by ``is_in_class`` is the literal exhaustive
-certificate; the counts come from a transfer-matrix walk over the same
-prefix state a pruned backtracking search would carry (Stanley, EC1 §4.7).
+certificate.  It lists every path as the join of a first half-word that
+never dips below the axis and a second half that returns from the same
+ordinate (Knuth, TAOCP 4A §7.2.1.6, in spirit), in the U-before-D order of
+a backtracking search.  The counts come from a transfer-matrix walk over
+the same prefix state a pruned backtracking search would carry (Stanley,
+EC1 §4.7).
 Only the enumeration lists paths, so only it takes the semilength cap; the
 DP is polynomial in n and runs to any n.
 """
@@ -18,6 +22,8 @@ from .paths import ClassParams, DyckPath, parse_path
 
 DEFAULT_CAP = 14
 
+_MIRROR = str.maketrans("UD", "DU")
+
 
 def check_cap(n: int, cap: int) -> None:
     """Refuse a negative semilength, or one above ``cap``, before any paths are listed."""
@@ -28,21 +34,25 @@ def check_cap(n: int, cap: int) -> None:
 
 
 def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
-    """All unrestricted Dyck paths of semilength n, by prefix backtracking."""
+    """All unrestricted Dyck paths of semilength n, in descending word order (U before D).
+
+    A path is a first half of n steps that never dips below the axis, ending
+    at some ordinate o, joined to a second half that runs from o back to the
+    axis.  The second halves ending at o are the first halves ending at o,
+    reversed, with U and D swapped.  Both lists are built once; each path is
+    one join, parsed once.
+    """
     check_cap(n, cap)
-    out: list[DyckPath] = []
-
-    def extend(prefix: str, ups: int, downs: int) -> None:
-        if downs == n:
-            out.append(parse_path(prefix))
-            return
-        if ups < n:
-            extend(prefix + "U", ups + 1, downs)
-        if downs < ups:
-            extend(prefix + "D", ups, downs + 1)
-
-    extend("", 0, 0)
-    return out
+    firsts = [("", 0)]  # (half-word, end ordinate), descending
+    for _ in range(n):
+        firsts = [(w + s, o + d) for w, o in firsts
+                  for s, d in (("U", 1), ("D", -1)) if o + d >= 0]
+    seconds: defaultdict[int, list[str]] = defaultdict(list)
+    for w, o in firsts:
+        seconds[o].append(w[::-1].translate(_MIRROR))
+    for ends in seconds.values():
+        ends.sort(reverse=True)
+    return [parse_path(a + b) for a, o in firsts for b in seconds[o]]
 
 
 def brute_counts_upto(params: ClassParams, nmax: int) -> list[int]:

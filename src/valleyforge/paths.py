@@ -29,16 +29,18 @@ class DyckPath:
 
     @property
     def word(self) -> str:
-        n2 = 2 * self.semilength
-        if n2 == 0:
-            return ""
-        return format(self.bits, f"0{n2}b").replace("1", "U").replace("0", "D")
+        # The sentinel bit above the first step keeps its leading D steps.
+        return bin(self.bits | 1 << 2 * self.semilength)[3:].translate(_WORD)
 
     def __str__(self) -> str:
         return self.word
 
 
 EMPTY_PATH = DyckPath(0, 0)
+
+# Steps as text and as binary digits.
+_WORD = str.maketrans("10", "UD")
+_BITS = str.maketrans("UD", "10")
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,25 @@ class ClassParams:
 
 def parse_path(word: str) -> DyckPath:
     """Parse an uppercase 'U'/'D' word into a validated DyckPath."""
-    bits = 0
+    n = word.count("U")
+    n2 = len(word)
+    if n + word.count("D") == n2 == 2 * n:  # only U and D, as many of each
+        bits = int(word.translate(_BITS) or "0", 2)
+        # No prefix dips below the axis: the mirror image never rises above it.
+        if not _top(bits ^ ((1 << n2) - 1), n2):
+            return DyckPath(bits, n)
+    # A malformed word: walk it step by step to name its first fault.
     balance = 0
     for i, ch in enumerate(word):
         if ch == "U":
-            bits = (bits << 1) | 1
             balance += 1
         elif ch == "D":
-            bits = bits << 1
             balance -= 1
             if balance < 0:
                 raise NegativePrefix(f"prefix {word[: i + 1]!r} dips below the axis")
         else:
             raise BadSymbol(f"unexpected character {ch!r} at position {i}")
-    if balance != 0:
-        raise UnbalancedWord(f"{word.count('U')} U steps vs {word.count('D')} D steps")
-    return DyckPath(bits, len(word) // 2)
+    raise UnbalancedWord(f"{word.count('U')} U steps vs {word.count('D')} D steps")
 
 
 def _byte_steps(byte: int) -> tuple[int, int]:
@@ -92,17 +97,21 @@ def _byte_steps(byte: int) -> tuple[int, int]:
 _BYTE_STEPS = tuple(_byte_steps(b) for b in range(256))
 
 
-def height(path: DyckPath) -> int:
-    """Maximum ordinate reached by the path."""
-    n2 = 2 * path.semilength
+def _top(bits: int, n2: int) -> int:
+    """Highest ordinate reached by the ``n2`` steps packed in ``bits``."""
     pad = -n2 % 8  # trailing D steps fill the last byte and cannot raise the maximum
     best = o = 0
-    for byte in (path.bits << pad).to_bytes((n2 + pad) // 8, "big"):
+    for byte in (bits << pad).to_bytes((n2 + pad) // 8, "big"):
         net, top = _BYTE_STEPS[byte]
         if o + top > best:
             best = o + top
         o += net
     return best
+
+
+def height(path: DyckPath) -> int:
+    """Maximum ordinate reached by the path."""
+    return _top(path.bits, 2 * path.semilength)
 
 
 def _valleys(bits: int, n2: int) -> int:
@@ -140,8 +149,11 @@ def max_valley_run_at_height(path: DyckPath, y: int) -> int:
 
 def is_in_class(path: DyckPath, params: ClassParams) -> bool:
     """True iff the path has height <= h and valley-run at h-1 <= k-2."""
-    if height(path) > params.h:
-        return False
+    # A valley at h-1 is entered by a D from h, so only a path of height h can
+    # hold a forbidden run.
+    top = height(path)
+    if top != params.h:
+        return top < params.h
     # Bit p survives when a (DU)^(k-1) factor ends with the DU at p.  Every
     # valley of that factor sits where the D at p lands, at ordinate
     # 2 * popcount(bits >> p) - (n2 - p): one popcount per factor.

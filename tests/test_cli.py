@@ -346,6 +346,17 @@ class TestVerifyJobs:
         assert (code, err, sizes) == (0, "", [2])
         assert out == run(capsys, *argv, "--jobs", "1")[1]
 
+    def test_default_is_one_process(self, capsys, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ("verify", "--h", "4..5", "--k", "3..4", "--n-max", "6")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *argv, "--jobs", "1")[1]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         code, out, err = run(capsys, "verify", "--h", "4", "--k", "3", "--n-max", "5",

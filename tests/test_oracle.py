@@ -8,6 +8,23 @@ from valleyforge.paths import ClassParams, catalan, is_in_class
 from valleyforge.series import f_series
 
 
+def _backtracking_words(n):
+    """Every Dyck word of semilength n by recursive prefix backtracking, U tried before D."""
+    out = []
+
+    def extend(prefix, ups, downs):
+        if downs == n:
+            out.append(prefix)
+            return
+        if ups < n:
+            extend(prefix + "U", ups + 1, downs)
+        if downs < ups:
+            extend(prefix + "D", ups, downs + 1)
+
+    extend("", 0, 0)
+    return out
+
+
 class TestEnumerate:
     def test_n0(self):
         paths = enumerate_dyck(0)
@@ -20,6 +37,12 @@ class TestEnumerate:
     def test_counts_are_catalan(self):
         for n in range(11):
             assert len(enumerate_dyck(n)) == catalan(n)
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_order_matches_backtracking(self, n):
+        words = [p.word for p in enumerate_dyck(n)]
+        assert words == _backtracking_words(n)
+        assert all(a > b for a, b in zip(words, words[1:]))  # strictly descending
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

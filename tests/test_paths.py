@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from dataclasses import FrozenInstanceError
@@ -95,6 +96,53 @@ class TestParse:
         assert not hasattr(p, "__dict__")
         with pytest.raises(FrozenInstanceError):
             p.bits = 0
+
+
+def _parse_reference(word):
+    """The per-character parser: one step per character, the first fault raised."""
+    bits = 0
+    balance = 0
+    for i, ch in enumerate(word):
+        if ch == "U":
+            bits = (bits << 1) | 1
+            balance += 1
+        elif ch == "D":
+            bits = bits << 1
+            balance -= 1
+            if balance < 0:
+                raise NegativePrefix(f"prefix {word[: i + 1]!r} dips below the axis")
+        else:
+            raise BadSymbol(f"unexpected character {ch!r} at position {i}")
+    if balance != 0:
+        raise UnbalancedWord(f"{word.count('U')} U steps vs {word.count('D')} D steps")
+    return DyckPath(bits, len(word) // 2)
+
+
+def _outcome(parse, word):
+    """(bits, semilength) of the parsed path, or the exception's type and message."""
+    try:
+        p = parse(word)
+    except (BadSymbol, NegativePrefix, UnbalancedWord) as exc:
+        return type(exc), str(exc)
+    return p.bits, p.semilength
+
+
+class TestParseAgreesWithReference:
+    @pytest.mark.parametrize("length", range(10))
+    def test_every_short_word(self, length):
+        for steps in itertools.product("UDX", repeat=length):
+            word = "".join(steps)
+            assert _outcome(parse_path, word) == _outcome(_parse_reference, word), word
+
+    @pytest.mark.parametrize("word", [
+        # int() or translate() would take these
+        "U_D", " UD", "UD\n", "+UD", "ud", "U\u0661D",
+        # 10,000 steps: past int()'s digit limit for decimal strings
+        "U" * 5000 + "D" * 5000, "UD" * 5000,
+        "U" * 4999 + "D" * 5000 + "U", "U" * 5000 + "D" * 4999 + "U",
+    ], ids=lambda word: repr(word) if len(word) < 10 else f"long{len(word)}")
+    def test_inputs_int_and_translate_accept(self, word):
+        assert _outcome(parse_path, word) == _outcome(_parse_reference, word)
 
 
 class TestHeight:
@@ -203,6 +251,18 @@ class TestMembershipAgreesWithValleyRuns:
             assert member == _membership_by_runs(p, h, k)
             seen.add(member)
         assert seen == {True, False}  # both answers are checked
+
+    def test_every_height_band(self):
+        """Paths below h skip the valley mask, paths above h are out: all three bands."""
+        bands = set()
+        for n in range(10):
+            for p in enumerate_dyck(n):
+                top = height(p)
+                for h in range(1, 12):
+                    bands.add((top > h) - (top < h))
+                    for k in range(2, 7):
+                        assert is_in_class(p, ClassParams(h, k)) == _membership_by_runs(p, h, k)
+        assert bands == {-1, 0, 1}  # paths below, at and above h are all checked
 
 
 class TestPredicatesExhaustive:
