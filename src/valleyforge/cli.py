@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections import Counter
 from itertools import islice
@@ -59,23 +58,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
-
-
-def _verify_grid(job: tuple[int, int, int, int, int]) -> list[list[tuple[int, ...]]]:
-    """For each cell (h, k) in row order, the counts of every route, in ROUTES order, at n = 0..nmax.
-
-    The eco counts of the whole grid come from one walk of its largest
-    tree; the other routes run per cell.
-    """
-    h_lo, h_hi, k_lo, k_hi, nmax = job
-    eco_counts = eco.grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax)
-    cells = []
-    for h, eco_h in zip(range(h_lo, h_hi + 1), eco_counts):
-        for k, eco_hk in zip(range(k_lo, k_hi + 1), eco_h):
-            params = ClassParams(h, k)
-            cells.append(list(zip(*(eco_hk if name == "eco" else route(params, nmax)
-                                    for name, route in ROUTES.items()))))
-    return cells
 
 
 # Records per write of a JSON array: bounds what _emit holds, and keeps the
@@ -221,39 +203,24 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValleyforgeError("need --jobs >= 1")
     (h_lo, h_hi), (k_lo, k_hi) = args.h, args.k
-    ClassParams(h_lo, k_lo)  # the lowest bounds: refuses a bad grid before any worker starts
-    cells = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
+    ClassParams(h_lo, k_lo)  # the lowest bounds: refuses a bad grid before the cap is checked
     oracle.check_cap(args.n_max, args.cap)
-
-    # Each worker is a process of its own, all started at once: never more
-    # than there are h or CPUs.  A job is a run of consecutive h, every k;
-    # the runs are near-equal in length and in order.
-    heights = h_hi - h_lo + 1
-    workers = min(args.jobs, heights, os.cpu_count() or 1)
-    size, extra = divmod(heights, workers)
-    starts = [h_lo + i * size + min(i, extra) for i in range(workers + 1)]
-    jobs = [(lo, hi - 1, k_lo, k_hi, args.n_max) for lo, hi in zip(starts, starts[1:])]
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which no other command needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grids = list(pool.map(_verify_grid, jobs))
-    else:
-        grids = [_verify_grid(job) for job in jobs]
-    results = [cell_rows for grid in grids for cell_rows in grid]
-
+    eco_counts = eco.grid_totals_upto(h_lo, h_hi, k_lo, k_hi, args.n_max)
     failed = []
 
     def rows():
-        for (h, k), cell_rows in zip(cells, results):
-            for n, row in enumerate(cell_rows):
-                counts = dict(zip(ROUTES, row))
-                ok = len(set(row)) == 1
-                if not ok:
-                    failed.append((h, k, n))
-                    print(f"MISMATCH h={h} k={k} n={n}: {_disagreement(counts)}", file=sys.stderr)
-                yield h, k, n, counts, ok
+        for h, eco_h in zip(range(h_lo, h_hi + 1), eco_counts):
+            for k, eco_hk in zip(range(k_lo, k_hi + 1), eco_h):
+                params = ClassParams(h, k)
+                columns = (eco_hk if name == "eco" else route(params, args.n_max)
+                           for name, route in ROUTES.items())
+                for n, row in enumerate(zip(*columns)):
+                    counts = dict(zip(ROUTES, row))
+                    ok = len(set(row)) == 1
+                    if not ok:
+                        failed.append((h, k, n))
+                        print(f"MISMATCH h={h} k={k} n={n}: {_disagreement(counts)}", file=sys.stderr)
+                    yield h, k, n, counts, ok
 
     _emit(args.format, rows(),
           lambda r: {"h": r[0], "k": r[1], "n": r[2],
@@ -309,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_range, required=True, help="height bound or range, e.g. 4..7")
     p.add_argument("--k", type=_parse_range, required=True, help="run bound or range, e.g. 3..5")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility, no effect: verify always runs in one process")
     p.set_defaults(func=_cmd_verify)
 
     return parser

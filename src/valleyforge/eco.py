@@ -124,20 +124,28 @@ def _grow(block: list[int], n2: int, h: int, k: int) -> list[int]:
             for bits, c in zip(block, _child_counts(block, n2, h, k)) for mask in masks[:c]]
 
 
+def _with_head(block: list[int], n2: int, head: int) -> list[int]:
+    """The paths of a block of 2n steps that begin with the steps of ``head``.
+
+    ``head`` is read as a path of ``head.bit_length()`` steps, so it begins
+    with U.  The heads are compared without a Python-level step per path.
+    """
+    shift = n2 - head.bit_length()
+    if shift < 0:
+        return []
+    return list(compress(block, map(head.__eq__, map(shift.__rrshift__, block))))
+
+
 def _saturated(block: list[int], n2: int, h: int, k: int) -> list[int]:
     """The paths of a block that begin U^h (DU)^(k-2): a full run and at least k-2 valleys at h-1.
 
     In a block whose paths have no run of more than k-2 valleys at h-1,
     these are the paths saturated at k, each with one child fewer in the
-    (h, k) tree than in any later cell's of :func:`_walk`'s chain.  The
-    heads are compared without a Python-level step per path.
+    (h, k) tree than in any later cell's of :func:`_walk`'s chain.
     """
     j = k - 2
-    shift = n2 - h - 2 * j
-    if shift <= 0:  # a Dyck path ends at height 0, never right after the head
-        return []
     head = ((1 << h) - 1) << 2 * j | (4 ** j - 1) // 3  # U^h, then j times DU = 0b01
-    return list(compress(block, map(head.__eq__, map(shift.__rrshift__, block))))
+    return _with_head(block, n2, head)
 
 
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
@@ -180,14 +188,8 @@ def _full(block: list[int], n2: int, h: int) -> list[int]:
 
     In a block of paths of height at most h, these are the paths with one
     child more in every taller tree: the child at site h, of height h+1.
-    The heads are compared without a Python-level step per path, as in
-    :func:`_saturated`.
     """
-    shift = n2 - h - 1
-    if shift < 0:
-        return []
-    head = (1 << h + 1) - 2  # U^h D
-    return list(compress(block, map(head.__eq__, map(shift.__rrshift__, block))))
+    return _with_head(block, n2, (1 << h + 1) - 2)  # U^h D
 
 
 def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,

@@ -224,12 +224,7 @@ class TestVerify:
         assert out.startswith("h=2 k=3 n=0 eco=1 rule=1 series=1 brute=1 ok\n")
         assert len(out.splitlines()) == 10 and "FAIL" not in out
 
-    def test_h0_exit_2_before_any_worker(self, capsys, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    def test_h0_exit_2_before_any_worker(self, capsys):
         code, out, err = run(capsys, "verify", "--h", "0..2", "--k", "3", "--n-max", "4",
                              "--jobs", "2")
         assert (code, out, err) == (2, "", "error: h must be >= 1, got 0\n")
@@ -292,58 +287,18 @@ class TestOddRouteOut:
 
 
 class TestVerifyJobs:
-    # A job is a run of consecutive h, every k: one run per worker, the runs near-equal.
-    @pytest.mark.parametrize("h_range,k_range,cpus,pools", [
-        ("4..5", "3..4", 8, [2]),    # capped at the h
-        ("4..7", "3", 3, [3]),       # capped at the CPUs
-        ("4", "3", 8, []),           # one cell: no pool
-        ("4..5", "3..4", None, []),  # CPU count unknown: taken as one, no pool
-        ("4", "3..6", 8, []),        # one h: no pool
-        ("4..8", "3..4", 2, [2]),    # runs of 3 and 2 h
-    ])
-    def test_pool_never_exceeds_cells_or_cpus(self, capsys, monkeypatch, h_range, k_range,
-                                              cpus, pools):
-        sizes = []
+    # verify always runs in one process; --jobs is accepted and checked, nothing more.
+    @pytest.mark.parametrize("jobs", ["1", "2", "100000"])
+    @pytest.mark.parametrize("h_range,k_range", [("4", "3"), ("4", "3..6"), ("4..7", "3"),
+                                                 ("4..5", "3..4")])
+    def test_any_jobs_is_one_process(self, capsys, monkeypatch, h_range, k_range, jobs):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
 
-        class SerialPool:
-            """Records the pool size and maps in this process: starts nothing."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        argv = ("verify", "--h", h_range, "--k", k_range, "--n-max", "5")
-        code, out, _ = run(capsys, *argv, "--jobs", "100000")
-        assert code == 0
-        assert sizes == pools
-        assert out == run(capsys, *argv, "--jobs", "1")[1]
-
-    def test_real_pool_matches_one_process(self, capsys, monkeypatch):
-        # Two h on two CPUs start a real pool, which must pickle _verify_grid.
-        from concurrent import futures
-
-        sizes = []
-
-        class RecordedPool(futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordedPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        argv = ("verify", "--h", "4..5", "--k", "3..4", "--n-max", "6")
-        code, out, err = run(capsys, *argv, "--jobs", "2")
-        assert (code, err, sizes) == (0, "", [2])
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        argv = ("verify", "--h", h_range, "--k", k_range, "--n-max", "6")
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert (code, err) == (0, "")
         assert out == run(capsys, *argv, "--jobs", "1")[1]
 
     def test_default_is_one_process(self, capsys, monkeypatch):
@@ -351,7 +306,6 @@ class TestVerifyJobs:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ("verify", "--h", "4..5", "--k", "3..4", "--n-max", "6")
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
@@ -470,10 +424,14 @@ def test_module_entry_point():
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:")
 
-
+    """Neither importing the CLI nor running verify with --jobs 2 loads multiprocessing."""
 def test_import_loads_no_process_pool():
-    """Only verify with more than one worker needs multiprocessing; importing the CLI loads none."""
-    child = ("import sys, valleyforge.cli\n"
+    """No command needs multiprocessing: importing the CLI and running verify with --jobs 2 load none."""
+    argv = ["verify", "--h", "4..5", "--k", "3", "--n-max", "4", "--jobs", "2"]
+    child = ("import contextlib, io, sys\n"
+             "from valleyforge.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert main({argv!r}) == 0\n"
              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           env=_child_env(), timeout=60)
