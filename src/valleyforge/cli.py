@@ -27,15 +27,9 @@ from .paths import ClassParams, height
 # (h, k) and raises ValueError for a negative nmax.  The entries are lambdas
 # that look their function up in its module at call time, so perfbench's
 # tracer and the tests' monkeypatches, which replace module attributes, see
-# the calls.  Only eco lists paths: it walks the ECO tree in blocks, building
-# every path up to depth nmax-1 and counting depth nmax from their labels, so
-# its memory stays bounded but its time grows with the paths it builds, and
-# the commands that run it check the listing cap first.  verify does not call
-# the eco entry: it counts a whole grid of cells from one walk of its largest
-# tree, eco.grid_totals_upto.  Each block of that walk carries the least cell
-# of a chain, (h_lo, k_lo) .. (h_lo, k_hi), (h_lo+1, k_lo) .., whose class
-# holds its paths; a saturated run raises a child to the next cell and a full
-# up-run raises the child above it to the next h.
+# the calls.  verify does not call the eco entry: it counts its whole grid
+# of cells from one walk of the largest tree, eco.grid_totals_upto.  Only eco
+# lists paths, so the commands that run it check the listing cap first.
 ROUTES = {
     "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),

@@ -30,4 +30,4 @@ class CapExceeded(ValleyforgeError):
 
 
 class DomainViolation(ValleyforgeError):
-    """Identity arguments are outside the window where the identity holds."""
+    """A coefficient relation was given too few class counts, or n < 0."""

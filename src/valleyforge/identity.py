@@ -1,69 +1,66 @@
 """Coefficient identities linking the class counts to Catalan numbers.
 
-The headline result: for ceil((h+1)/2) <= n <= h the Catalan numbers obey a
-constant-coefficient recurrence whose weights are binomials in h alone.
-It is a window identity.  Dyck paths of height <= h have a rational
-generating function with denominator
+Dyck paths of height <= h have a rational generating function with
+denominator q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j
+(``paths.height_denominator``; de Bruijn, Knuth and Rice, "The average
+height of planted plane trees", 1972; Flajolet, "Combinatorial aspects of
+continued fractions", Discrete Math. 32, 1980).  The coefficient relation
+adds the run bound k: with S = ``series.build_S``, the class counts D_n obey
 
-    q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j     (``paths.height_denominator``)
+    D(x) S(h, k) = (-1)^h S(h-1, k)   (h >= 2),   D(x) S(1, k) = -(1 - x^k).
 
-and a numerator of degree floor(h/2) (de Bruijn, Knuth and Rice, "The
-average height of planted plane trees", 1972; Flajolet, "Combinatorial
-aspects of continued fractions", Discrete Math. 32, 1980).  That series
-agrees with the Catalan series C(x) through x^h, so coefficients
-ceil((h+1)/2) .. h of C(x) q_h(x) vanish; the checks here take n <= h-1.
-The q_h obey q_h = q_{h-1} - x q_{h-2} (Pascal's rule on the binomials), so
-the products C(x) q_h(x) for every h <= H each come from the two before, in
-O(H^2) additions in all (``catalan_recurrence_rows``).  The intermediate
-coefficient relation is checked against exact class counts supplied by any
-route (series engine or brute force).
+It is derived and checked here, against counts from every route; no
+theorem is quoted for it.  ``check_relation`` takes n = 0 .. h+k-1, the
+last being the first semilength where the run bound removes a path,
+U^h (DU)^{k-1} D^h.
+
+The Catalan recurrence: the height series agrees with the Catalan series
+C(x) through x^h, so coefficients ceil((h+1)/2) .. h of C(x) q_h(x)
+vanish, a recurrence whose weights are binomials in h alone; the checks
+here take n <= h-1.  The q_h obey q_h = q_{h-1} - x q_{h-2} (Pascal's rule
+on the binomials), so the products C(x) q_h(x) for every h <= H each come
+from the two before, in O(H^2) additions in all (``catalan_recurrence_rows``).
 """
 
 from __future__ import annotations
 
-from math import comb
 from operator import mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainViolation
-from .paths import catalan_upto, height_denominator
+from .paths import catalan_upto
+from .series import build_S
 
 
 def lhs_coefficient_relation(h: int, k: int, n: int, D: Sequence[int]) -> int:
-    """Class counts weighted by q_h: (-1)^{binom(h+1, 2)} sum_j q_h[j] D_{n-j}.
+    """Coefficient n of S(h, k) D(x): sum_j S(h, k)[j] D_{n-j}.
 
-    Terms with n - j < 0 contribute zero.  Only meaningful for n < h < k.
-    ``D`` holds the counts D_0 .. D_n at least.
+    Terms with n - j < 0 contribute zero.  ``D`` holds the counts D_0 .. D_n at least.
     """
-    if not (0 <= n < h < k):
-        raise DomainViolation(f"need 0 <= n < h < k, got n={n}, h={h}, k={k}")
+    if n < 0:
+        raise DomainViolation(f"need n >= 0, got n={n}")
     if len(D) <= n:
         raise DomainViolation(f"need the counts D_0..D_{n}, got {len(D)}")
-    return (-1) ** comb(h + 1, 2) * sum(map(mul, height_denominator(h), D[n::-1]))
+    return sum(map(mul, build_S(h, k), D[n::-1]))
 
 
-def rhs_coefficient_relation(h: int, n: int) -> int:
-    """Alternating partial row sum of Pascal's triangle matching the lhs."""
-    if not 0 <= n < h:
-        raise DomainViolation(f"need 0 <= n < h, got n={n}, h={h}")
-    base = (h + 1) // 2
-    total = 0
-    for t in range(min(n, h - n + 1) + 1):
-        total += (-1) ** (base - t) * comb(h - n + 1, t)
-    return total
+def rhs_coefficient_relation(h: int, k: int, n: int) -> int:
+    """Coefficient n of (-1)^h S(h-1, k), or of -(1 - x^k) at h = 1; 0 past the degree."""
+    if n < 0:
+        raise DomainViolation(f"need n >= 0, got n={n}")
+    poly = [(-1) ** h * c for c in build_S(h - 1, k)] if h > 1 else [-1, *[0] * (k - 1), 1]
+    return poly[n] if n < len(poly) else 0
 
 
 def check_relation(
     h: int, k: int, provider: Callable[[int], int]
 ) -> list[tuple[int, int, int]]:
-    """Every (n, lhs, rhs) with lhs != rhs, 0 <= n < h, counts from ``provider``."""
-    if not h < k:
-        raise DomainViolation(f"need h < k, got h={h}, k={k}")
-    D = [provider(n) for n in range(h)]
+    """Every (n, lhs, rhs) with lhs != rhs, 0 <= n <= h+k-1, counts from ``provider``."""
+    D = [provider(n) for n in range(h + k)]
     failures = []
-    for n in range(h):
+    for n in range(h + k):
         lhs = lhs_coefficient_relation(h, k, n, D)
-        rhs = rhs_coefficient_relation(h, n)
+        rhs = rhs_coefficient_relation(h, k, n)
         if lhs != rhs:
             failures.append((n, lhs, rhs))
     return failures

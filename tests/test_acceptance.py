@@ -99,7 +99,7 @@ def test_criterion_7_coefficient_relation():
     for h in range(4, 13):
         for k in (h + 1, h + 2, h + 3):
             params = ClassParams(h, k)
-            fs = series.f_series(params, h)
+            fs = series.f_series(params, h + k)  # check_relation reads n <= h+k-1
             from_series = identity.check_relation(h, k, fs.coefficient)
             from_oracle = identity.check_relation(
                 h, k, lambda n, p=params: oracle.brute_count(p, n)

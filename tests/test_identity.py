@@ -4,6 +4,7 @@ from operator import mul
 
 import pytest
 
+from valleyforge.eco import rule_totals_upto
 from valleyforge.errors import DomainViolation
 from valleyforge.identity import (
     catalan_recurrence_rows,
@@ -16,23 +17,61 @@ from valleyforge.paths import ClassParams, catalan, catalan_upto, height_denomin
 from valleyforge.series import f_series
 
 
+def _pascal_rhs(h, n):
+    """The alternating partial Pascal-row sum the right side once was, for n < h < k."""
+    base = (h + 1) // 2
+    total = 0
+    for t in range(min(n, h - n + 1) + 1):
+        total += (-1) ** (base - t) * comb(h - n + 1, t)
+    return total
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    """a - b with trailing zeros dropped."""
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _series_div(num, den, order):
+    """Coefficients 0..order of num/den, den having constant term 1."""
+    assert den[0] == 1
+    out = []
+    for n in range(order + 1):
+        c = num[n] if n < len(num) else 0
+        out.append(c - sum(den[j] * out[n - j] for j in range(1, min(n, len(den) - 1) + 1)))
+    return out
+
+
 class TestLhs:
     def test_single_term_n0(self):
         assert lhs_coefficient_relation(5, 7, 0, [1]) == -1
 
     def test_matches_rhs_small(self):
         D = [catalan(n) for n in range(4)]
-        assert lhs_coefficient_relation(4, 6, 2, D) == rhs_coefficient_relation(4, 2)
+        assert lhs_coefficient_relation(4, 6, 2, D) == rhs_coefficient_relation(4, 6, 2)
 
     def test_negative_indices_drop_out(self):
         # n = 0 keeps only the j = 0 term whatever the tail of D holds
         assert lhs_coefficient_relation(5, 7, 0, [1, 999, 999]) == -1
 
     def test_domain(self):
-        with pytest.raises(DomainViolation):
-            lhs_coefficient_relation(5, 5, 1, [1] * 5)
-        with pytest.raises(DomainViolation):
-            lhs_coefficient_relation(5, 7, 5, [1] * 6)
+        # k <= h and n >= h are in range; only n < 0 is refused, since
+        # D[n::-1] at n = -1 would read the whole list reversed
+        D = brute_counts_upto(ClassParams(5, 5), 9)
+        assert lhs_coefficient_relation(5, 5, 1, D) == rhs_coefficient_relation(5, 5, 1)
+        assert lhs_coefficient_relation(5, 5, 9, D) == rhs_coefficient_relation(5, 5, 9)
+        with pytest.raises(DomainViolation, match="n >= 0"):
+            lhs_coefficient_relation(5, 7, -1, [1] * 6)
 
     def test_short_counts_refused(self):
         # D[n::-1] would start from D's last entry and pair the wrong terms
@@ -44,26 +83,44 @@ class TestLhs:
 class TestRhs:
     def test_n0_single_term(self):
         for h in range(2, 10):
-            assert rhs_coefficient_relation(h, 0) == (-1) ** ((h + 1) // 2)
+            assert rhs_coefficient_relation(h, h + 1, 0) == (-1) ** ((h + 1) // 2)
 
     def test_h5_n3_full_row_vanishes(self):
-        assert rhs_coefficient_relation(5, 3) == 0
+        assert rhs_coefficient_relation(5, 7, 3) == 0
 
     def test_partial_row_sum_closed_form(self):
         # sum_{t<=m} (-1)^t binom(N, t) = (-1)^m binom(N-1, m), N = h-n+1, m = min(n, N)
         for h in range(1, 41):
             for n in range(h):
                 sign = (-1) ** ((h + 1) // 2 + n)
-                assert rhs_coefficient_relation(h, n) == sign * comb(h - n, n), (h, n)
+                assert rhs_coefficient_relation(h, h + 1, n) == sign * comb(h - n, n), (h, n)
 
     def test_vanishes_on_recurrence_window(self):
         for h in range(4, 20):
             for n in range((h + 2) // 2, h):
-                assert rhs_coefficient_relation(h, n) == 0
+                assert rhs_coefficient_relation(h, h + 1, n) == 0
+
+    def test_pascal_row_reference(self):
+        # on 0 <= n < h < k the right side is the old Pascal-row loop, whatever k is
+        for h in range(1, 41):
+            for k in range(h + 1, h + 4):
+                for n in range(h):
+                    assert rhs_coefficient_relation(h, k, n) == _pascal_rhs(h, n), (h, k, n)
+
+    def test_h1(self):
+        # -(1 - x^k): -1 at n = 0, 1 at n = k, 0 elsewhere
+        for k in range(2, 8):
+            expected = [-1] + [0] * (k - 1) + [1] + [0] * 5
+            assert [rhs_coefficient_relation(1, k, n) for n in range(k + 6)] == expected, k
+
+    def test_zero_past_degree(self):
+        # (-1)^5 S(4, 3) = q_4 + x^4 q_1 has degree 5
+        assert [rhs_coefficient_relation(5, 3, n) for n in range(8)] == [-1, 4, -3, 0, -1, 1, 0, 0]
 
     def test_domain(self):
-        with pytest.raises(DomainViolation):
-            rhs_coefficient_relation(5, 5)
+        assert rhs_coefficient_relation(5, 5, 5) == 0
+        with pytest.raises(DomainViolation, match="n >= 0"):
+            rhs_coefficient_relation(5, 7, -1)
 
 
 class TestCheckRelation:
@@ -74,25 +131,51 @@ class TestCheckRelation:
 
     def test_passes_with_series(self):
         params = ClassParams(5, 7)
-        fs = f_series(params, 5)
+        fs = f_series(params, 5 + 7 - 1)
         assert check_relation(5, 7, fs.coefficient) == []
 
     def test_passes_past_h12(self):
         for h in range(13, 41):
             params = ClassParams(h, h + 1)
-            for counts in (brute_counts_upto(params, h - 1), f_series(params, h - 1).coeffs):
+            for counts in (brute_counts_upto(params, 2 * h), f_series(params, 2 * h).coeffs):
                 assert check_relation(h, h + 1, counts.__getitem__) == [], h
 
-    def test_requires_h_below_k(self):
-        with pytest.raises(DomainViolation):
-            check_relation(5, 5, lambda n: 1)
+    def test_passes_at_k_at_most_h(self):
+        # k <= h, and n >= h up to h+k-1, where the class counts leave Catalan
+        for h, k in [(5, 5), (5, 3), (9, 2), (12, 4)]:
+            params = ClassParams(h, k)
+            assert check_relation(h, k, lambda n, p=params: brute_count(p, n)) == [], (h, k)
+
+    def test_h1(self):
+        for k in range(2, 8):
+            assert check_relation(1, k, f_series(ClassParams(1, k), k).coefficient) == [], k
+
+    def test_every_route_on_grid(self):
+        for h in range(1, 41):
+            for k in range(2, 16):
+                params = ClassParams(h, k)
+                nmax = h + k - 1
+                for counts in (f_series(params, nmax).coeffs, rule_totals_upto(params, nmax),
+                               brute_counts_upto(params, nmax)):
+                    assert check_relation(h, k, counts.__getitem__) == [], (h, k)
+
+    @pytest.mark.parametrize("h,k", [(64, 5), (128, 3), (7, 40)])
+    def test_deep_cells(self, h, k):
+        D = rule_totals_upto(ClassParams(h, k), h + k + 60)
+        for n in range(h + k + 61):
+            assert lhs_coefficient_relation(h, k, n, D) == rhs_coefficient_relation(h, k, n), n
 
     def test_failures_are_listed(self):
-        # D_1 off by one at h = 4 moves lhs at n = 1, 2, 3 (weights 1, -4, 3 of q_4)
-        failures = check_relation(4, 6, lambda n: catalan(n) + (n == 1))
-        assert [n for n, _, _ in failures] == [1, 2, 3]
+        # D_1 off by one at (4, 6) moves lhs at n = 1 + j for every nonzero
+        # S(4, 6)[j] = -(q_4 + x^7 q_1)[j], j = 0, 1, 2, 7, 8
+        counts = brute_counts_upto(ClassParams(4, 6), 9)
+        failures = check_relation(4, 6, lambda n: counts[n] + (n == 1))
+        assert [n for n, _, _ in failures] == [1, 2, 3, 8, 9]
         for n, lhs, rhs in failures:
-            assert rhs == rhs_coefficient_relation(4, n) != lhs
+            assert rhs == rhs_coefficient_relation(4, 6, n) != lhs
+        # the last semilength checked, where the run bound first removes a path
+        counts = brute_counts_upto(ClassParams(5, 3), 7)
+        assert [n for n, _, _ in check_relation(5, 3, lambda n: counts[n] + (n == 7))] == [7]
 
 
 def _row(h, n):
@@ -200,3 +283,29 @@ def test_catalan_times_q_h_is_q_h_minus_1():
         product = [sum(map(mul, q, C[n::-1])) for n in range(h + 1)]
         expected = height_denominator(h - 1)
         assert product == expected + [0] * (h + 1 - len(expected)), h
+
+
+def test_cassini_type_identity():
+    """q_{h-1} q_{h-3} - q_h q_{h-4} = x^{h-2} (1 - x), with q_{-1} = 1."""
+    q = {h: height_denominator(h) for h in range(-1, 201)}
+    for h in range(3, 201):
+        lhs = _poly_sub(_poly_mul(q[h - 1], q[h - 3]), _poly_mul(q[h], q[h - 4]))
+        assert lhs == [0] * (h - 2) + [1, -1], h
+
+
+def test_complement_closed_form():
+    """Height-bounded paths that hold the forbidden run: the height-only count
+    (k > n) minus the class count is the series of
+    x^{h+k-1} (1 - x) / (q_h (q_h + x^{k+1} q_{h-3})), first term 1 at n = h+k-1."""
+    nmax = 40
+    for h in range(2, 12):
+        q, tail = height_denominator(h), height_denominator(h - 3)
+        height_only = brute_counts_upto(ClassParams(h, nmax + 1), nmax)
+        for k in range(2, 8):
+            # q_h (q_h + x^{k+1} q_{h-3})
+            denominator = _poly_mul(q, _poly_sub(q, [0] * (k + 1) + [-c for c in tail]))
+            numerator = [0] * (h + k - 1) + [1, -1]
+            expected = _series_div(numerator, denominator, nmax)
+            complement = _poly_sub(height_only, brute_counts_upto(ClassParams(h, k), nmax))
+            assert complement + [0] * (nmax + 1 - len(complement)) == expected, (h, k)
+            assert complement[:h + k] == [0] * (h + k - 1) + [1], (h, k)
