@@ -7,8 +7,8 @@ certificate.  It lists every path as the join of a first half-word that
 never dips below the axis and a second half that returns from the same
 ordinate (Knuth, TAOCP 4A §7.2.1.6, in spirit), in the U-before-D order of
 a backtracking search.  The counts come from a transfer-matrix walk over
-the same prefix state a pruned backtracking search would carry (Stanley,
-EC1 §4.7).
+path prefixes that merges the states the restriction cannot tell apart
+(Stanley, EC1 §4.7; Flajolet-Sedgewick, Analytic Combinatorics §V.4).
 Only the enumeration lists paths, so only it takes the semilength cap; the
 DP is polynomial in n and runs to any n.
 """
@@ -16,6 +16,7 @@ DP is polynomial in n and runs to any n.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import add
 
 from .errors import CapExceeded
 from .paths import ClassParams, DyckPath, parse_path
@@ -58,28 +59,27 @@ def enumerate_dyck(n: int, cap: int = DEFAULT_CAP) -> list[DyckPath]:
 def brute_counts_upto(params: ClassParams, nmax: int) -> list[int]:
     """Class counts for every semilength 0..nmax, one step of the prefix at a time.
 
-    A prefix state is (ordinate, last step was D, run), where run counts the
-    adjacent DU factors at height h-1 ending at the current position and is
-    carried through a D from height h.  The count at semilength n is the
-    number of prefixes of length 2n back on the axis.
+    Only ordinates h-1 and h see the restriction, so elsewhere a prefix is
+    known by its ordinate: ``low[o]``, o <= h-1, where h-1 is reached by a U
+    or is the start.  ``down[r]`` is h-1 just after a D from h, ``top[r]`` is
+    h, with run r < k-1 adjacent DU factors at h-1 carried through the D
+    from h.  Merged prefixes have the same continuations, so these h + 2k - 2
+    states keep every count.  No path of semilength <= nmax reaches nmax+1
+    or holds nmax valleys, so h and k are clamped there: huge bounds are free.
     """
     if nmax < 0:
         raise ValueError("n must be >= 0")
-    h, k = params.h, params.k
-    counts = [1] + [0] * nmax
-    states = {(0, False, 0): 1}
+    h, k = min(params.h, nmax + 1), min(params.k, nmax + 2)
+    low, down, top = [0] * h, [0] * (k - 1), [0] * (k - 1)
+    low[0] = 1  # the empty prefix
+    counts = [1]
     for step in range(1, 2 * nmax + 1):
-        nxt: defaultdict[tuple[int, bool, int], int] = defaultdict(int)
-        for (o, prev_d, run), c in states.items():
-            if o < h:
-                new_run = run + 1 if prev_d and o == h - 1 else 0
-                if new_run <= k - 2:
-                    nxt[o + 1, False, new_run] += c
-            if o > 0:
-                nxt[o - 1, True, run if o == h else 0] += c
-        states = nxt
+        fall = low[-1] + sum(down)  # a D from h-1 lands on h-2, none at h = 1
+        # A U from h-1 after a D lengthens the run; down[k-2] may not rise.
+        low, top, down = ([*map(add, [0, *low[:-1]], [*low[1:-1], fall, 0][-h:])],
+                          [low[-1], *down[:-1]], top)
         if step % 2 == 0:
-            counts[step // 2] = sum(c for (o, _, _), c in states.items() if o == 0)
+            counts.append(low[0] + sum(down) if h == 1 else low[0])
     return counts
 
 

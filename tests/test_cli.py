@@ -438,6 +438,15 @@ def test_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
+def test_oracle_imports_no_other_route():
+    """The oracle is checked against ECO and the series, so importing it loads neither."""
+    child = ("import sys, valleyforge.oracle\n"
+             "print(sorted({'valleyforge.eco', 'valleyforge.series'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def _child_peak_rss_mib(argv: list[str]) -> float:
     """Peak RSS in MiB of ``main(argv)`` run in a fresh interpreter with stdout discarded.
 

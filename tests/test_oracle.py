@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,35 @@ def _backtracking_words(n):
 
     extend("", 0, 0)
     return out
+
+
+def _prefix_dp_reference(params, nmax):
+    """Class counts for every semilength 0..nmax, one step of the prefix at a time.
+
+    A prefix state is (ordinate, last step was D, run), where run counts the
+    adjacent DU factors at height h-1 ending at the current position and is
+    carried through a D from height h.  The count at semilength n is the
+    number of prefixes of length 2n back on the axis.  This unmerged dict DP
+    is the reference for ``brute_counts_upto``'s merged states.
+    """
+    if nmax < 0:
+        raise ValueError("n must be >= 0")
+    h, k = params.h, params.k
+    counts = [1] + [0] * nmax
+    states = {(0, False, 0): 1}
+    for step in range(1, 2 * nmax + 1):
+        nxt: defaultdict[tuple[int, bool, int], int] = defaultdict(int)
+        for (o, prev_d, run), c in states.items():
+            if o < h:
+                new_run = run + 1 if prev_d and o == h - 1 else 0
+                if new_run <= k - 2:
+                    nxt[o + 1, False, new_run] += c
+            if o > 0:
+                nxt[o - 1, True, run if o == h else 0] += c
+        states = nxt
+        if step % 2 == 0:
+            counts[step // 2] = sum(c for (o, _, _), c in states.items() if o == 0)
+    return counts
 
 
 class TestEnumerate:
@@ -137,3 +169,37 @@ class TestBruteCount:
         assert brute_count(params, 15) == rule_totals_upto(params, 15)[15]
         with pytest.raises(ValueError):
             brute_counts_upto(params, -1)
+
+
+class TestMergedStates:
+    """The merged states against the dict DP, deep cells, and where the clamp on h and k acts."""
+
+    def test_equals_prefix_dp_reference(self):
+        for h in range(1, 13):
+            for k in range(2, 9):
+                params = ClassParams(h, k)
+                assert brute_counts_upto(params, 30) == _prefix_dp_reference(params, 30), (h, k)
+
+    def test_clamp_region_equals_prefix_dp_reference(self):
+        """h and k at and past nmax + 1 and nmax + 2, for every nmax <= 10, nmax = 0 included."""
+        for h in range(1, 41):
+            for k in range(2, 41):
+                params = ClassParams(h, k)
+                expected = _prefix_dp_reference(params, 10)
+                for nmax in range(11):
+                    assert brute_counts_upto(params, nmax) == expected[:nmax + 1], (h, k, nmax)
+
+    @pytest.mark.parametrize("h,k,nmax", [(64, 5, 600), (128, 3, 600), (7, 40, 300), (1000, 3, 1000)])
+    def test_agrees_with_rule_deep(self, h, k, nmax):
+        params = ClassParams(h, k)
+        assert brute_counts_upto(params, nmax) == rule_totals_upto(params, nmax)
+
+    def test_huge_bounds_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            counts = brute_counts_upto(ClassParams(10**6, 10**6), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [1, 1, 2, 5, 14, 42]
+        assert peak < 1 << 20
