@@ -5,19 +5,21 @@ that every path of semilength n+1 in the class is produced exactly once
 from a path of semilength n.  :func:`walk` visits this ECO tree depth
 first, growing at most BLOCK parents at a time, so counting the tree
 (:func:`tree_totals_upto`) holds a few blocks per depth rather than whole
-levels.  A block grows in one comprehension: its up-runs are read
-together, and a parent's valleys are read (by :func:`_label`) only when
-its up-run is full.  The count builds every path up to depth n-1 and
-counts depth n from their labels, so its time grows with the paths above
-the last level.  A path of the class (h, k) lies in (h+1, k') for every
-k', and a larger k is a weaker restriction, so one walk of the
-(h_hi, k_hi) tree counts a whole grid of cells (:func:`grid_totals_upto`).
-The cells are taken on one chain, k inside h, and each block carries the
-least cell whose class holds its paths.  A block's children keep its cell,
-except two kinds, raised to a later one: the child that lengthens a
-saturated run of valleys goes to the next cell, and the child above a full
-up-run goes to the next h.  Label dynamics reproduce the same counts
-without touching any concrete path.
+levels.  Every site lies on the initial up-run, so a child is UU followed
+by its parent with one step turned into a D: one bit flip.  A block grows
+in one comprehension: its up-runs are read together, and a parent's
+valleys are read (by :func:`_label`) only when its up-run is full.  The
+count builds every path up to depth n-1 and counts depth n from their
+labels, so its time grows with the paths above the last level.  A path of
+the class (h, k) lies in (h+1, k') for every k', and a larger k is a
+weaker restriction, so one walk of the (h_hi, k_hi) tree counts a whole
+grid of cells (:func:`grid_totals_upto`).  The cells are taken on one
+chain, k inside h, and each block carries the least cell whose class
+holds its paths.  A block's children keep its cell, except two kinds,
+raised to a later one by the one rule of :func:`_raised`: the child that
+lengthens a saturated run of valleys goes to the next cell, and the child
+above a full up-run goes to the next h.  Label dynamics reproduce the
+same counts without touching any concrete path.
 
 The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
 this module a label is its text, such as "(3)" or "(h_0)", as the paper
@@ -96,32 +98,21 @@ def _child_counts(block: list[int], n2: int, h: int, k: int) -> list[int]:
             for bits in block]
 
 
-def _site_masks(n2: int, h: int) -> list[int]:
-    """XOR masks that take child 0 of a parent of ``n2`` steps to child i, i = 0 .. min(h, n2+1) - 1.
-
-    Child 0 is UD followed by the path.  Every site lies on the initial
-    up-run, so step i is a U and child i is child 0 with its inserted D
-    moved i steps right: child 0 XOR the i-th prefix mask.
-    """
-    masks = [0]
-    for s in range(n2 - 1, max(n2 - h, -1), -1):
-        masks.append(masks[-1] ^ (0b11 << s))
-    return masks
-
-
 def _grow(block: list[int], n2: int, h: int, k: int) -> list[int]:
     """Bit patterns of the children of a block of class paths of 2n steps.
 
     The children of each parent, in site order, follow those of the parent
     before it.  Child i has a UD inserted before step i, for i = 0 .. c-1,
-    where c is the parent's count from :func:`_child_counts`.  The at most h
-    masks of :func:`_site_masks` are the same for every parent of the block
-    and are built once.  A path with label (0) has no child.
+    where c is the parent's count from :func:`_child_counts`.  Every site
+    lies on the initial up-run, so child i is UU followed by the path, with
+    step i+1 of the child turned into a D: one bit flip.  The at most h
+    flips are the same for every parent of the block and are built once.
+    A path with label (0) has no child.
     """
-    masks = _site_masks(n2, h)
-    top = 0b10 << n2
-    return [(top | bits) ^ mask
-            for bits, c in zip(block, _child_counts(block, n2, h, k)) for mask in masks[:c]]
+    flips = [1 << s for s in range(n2, max(n2 - h, -1), -1)]
+    base = 0b11 << n2
+    return [(base | bits) ^ flip
+            for bits, c in zip(block, _child_counts(block, n2, h, k)) for flip in flips[:c]]
 
 
 def _with_head(block: list[int], n2: int, head: int) -> list[int]:
@@ -134,18 +125,6 @@ def _with_head(block: list[int], n2: int, head: int) -> list[int]:
     if shift < 0:
         return []
     return list(compress(block, map(head.__eq__, map(shift.__rrshift__, block))))
-
-
-def _saturated(block: list[int], n2: int, h: int, k: int) -> list[int]:
-    """The paths of a block that begin U^h (DU)^(k-2): a full run and at least k-2 valleys at h-1.
-
-    In a block whose paths have no run of more than k-2 valleys at h-1,
-    these are the paths saturated at k, each with one child fewer in the
-    (h, k) tree than in any later cell's of :func:`_walk`'s chain.
-    """
-    j = k - 2
-    head = ((1 << h) - 1) << 2 * j | (4 ** j - 1) // 3  # U^h, then j times DU = 0b01
-    return _with_head(block, n2, head)
 
 
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
@@ -183,13 +162,24 @@ def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
     return ((m, block) for m, _, _, block in _walk(h, h, k, k, n))
 
 
-def _full(block: list[int], n2: int, h: int) -> list[int]:
-    """The paths of a block of 2n steps whose initial up-run is full: they begin U^h D.
+def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
+            k_hi: int) -> list[tuple[int, int, list[int], int]]:
+    """Paths of a block whose child at ``site`` lies only in a later cell, as ``(h, k, paths, site)``.
 
-    In a block of paths of height at most h, these are the paths with one
-    child more in every taller tree: the child at site h, of height h+1.
+    (hm, km) is the block's least cell on :func:`_walk`'s chain.  Saturated
+    paths, U^hm (DU)^(km-2) ..., use site hm-1, whose child has km-1 valleys
+    at hm-1: it moves to the next cell.  Below h_hi, paths with a full
+    up-run, U^hm D ..., use site hm, whose child has height hm+1: it moves
+    to (hm+1, k_lo).  Empty lists are left out.
     """
-    return _with_head(block, n2, (1 << h + 1) - 2)  # U^h D
+    heads = []
+    if hm < h_hi or km < k_hi:
+        j = km - 2
+        saturated = ((1 << hm) - 1) << 2 * j | (4 ** j - 1) // 3  # U^hm, then j times DU = 0b01
+        heads.append(((hm, km + 1) if km < k_hi else (hm + 1, k_lo), saturated, hm - 1))
+    if hm < h_hi:
+        heads.append(((hm + 1, k_lo), (1 << hm + 1) - 2, hm))  # U^hm D
+    return [(*cell, paths, site) for cell, head, site in heads if (paths := _with_head(parents, n2, head))]
 
 
 def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
@@ -202,11 +192,9 @@ def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
     (H, k) with k >= r+2: an up-set of the chain.  (hm, km) is the least
     cell of that set, the same for every path of the block.  Removing the
     first peak depends on neither h nor k, so a block's children in the
-    (hm, km) tree keep (hm, km).  Its only other children are raised:
-    the site hm-1 children of its paths saturated at km (a run of km-1
-    valleys at hm-1), which go to the next cell of the chain, and, below
-    h_hi, the site hm children of its paths whose up-run is full (height
-    hm+1), which go to (hm+1, k_lo).  On a chain of one cell, as for
+    (hm, km) tree (:func:`_grow`) keep (hm, km).  Its only other children
+    are raised: the paths and site :func:`_raised` names for each later
+    cell, grown by the same bit flip.  On a chain of one cell, as for
     :func:`walk`, nothing is raised, and the walk order is the tree's.
     """
     root = [EMPTY_PATH.bits]
@@ -219,14 +207,10 @@ def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
             stack.append((m, hm, km, block, start + BLOCK))
         n2, parents = 2 * m, block[start:start + BLOCK]
         grown = [(hm, km, _grow(parents, n2, hm, km))]
-        top = 0b10 << n2
-        if (hm < h_hi or km < k_hi) and (saturated := _saturated(parents, n2, hm, km)):
-            site = _site_masks(n2, hm)[hm - 1]
-            raised = (hm, km + 1) if km < k_hi else (hm + 1, k_lo)
-            grown.append((*raised, [(top | bits) ^ site for bits in saturated]))
-        if hm < h_hi and (full := _full(parents, n2, hm)):
-            site = _site_masks(n2, hm + 1)[hm]
-            grown.append((hm + 1, k_lo, [(top | bits) ^ site for bits in full]))
+        base = 0b11 << n2
+        for g_h, g_k, paths, site in _raised(parents, n2, hm, km, h_hi, k_lo, k_hi):
+            flip = 1 << n2 - site
+            grown.append((g_h, g_k, [(base | bits) ^ flip for bits in paths]))
         for g_h, g_k, kids in grown:
             yield m + 1, g_h, g_k, kids
             if m + 1 < n:
@@ -241,9 +225,9 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     of a cell counts the paths at depth m of the blocks up to it: one
     running sum over the chain.  The walk builds the tree up to depth
     nmax-1.  Depth nmax is not built: a block's paths have, summed, the
-    child counts of :func:`_child_counts` in the (hm, km) tree, one child
-    more per saturated path from the next cell on, and one more per full
-    up-run from (hm+1, k_lo) on.
+    child counts of :func:`_child_counts` in the (hm, km) tree, and one
+    child more per path that :func:`_raised` names, from the cell it names
+    on.  Those paths are only counted.
     """
     ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
     if h_hi < h_lo:
@@ -264,10 +248,8 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
         if m == last:
             n2 = 2 * m
             rows[c][nmax] += sum(_child_counts(block, n2, hm, km))
-            if c + 1 < len(rows):
-                rows[c + 1][nmax] += len(_saturated(block, n2, hm, km))
-            if hm < h_hi:
-                rows[(hm + 1 - h_lo) * width][nmax] += len(_full(block, n2, hm))
+            for h, k, paths, _ in _raised(block, n2, hm, km, h_hi, k_lo, k_hi):
+                rows[(h - h_lo) * width + k - k_lo][nmax] += len(paths)
     cells = list(accumulate(rows, lambda acc, row: list(map(add, acc, row))))
     return [cells[i:i + width] for i in range(0, len(cells), width)]
 
@@ -290,14 +272,16 @@ def generate(params: ClassParams, n: int) -> list[DyckPath]:
 
 
 def invert_first_peak(path: DyckPath) -> DyckPath:
-    """Remove the leftmost UD factor; the reverse of the growth operator."""
+    """Remove the leftmost UD factor; the reverse of the growth operator.
+
+    The growth's bit flip undone: turning the first D into a U gives UU
+    followed by the parent, and the parent is the low 2n-2 bits.
+    """
     if path.semilength == 0:
         raise EmptyPath("the empty path has no peak to remove")
     n2 = 2 * path.semilength
-    shift = n2 - _up_run(path.bits, n2) - 1
-    high = path.bits >> (shift + 2)
-    low = path.bits & ((1 << shift) - 1)
-    return DyckPath((high << shift) | low, path.semilength - 1)
+    up = path.bits ^ 1 << n2 - 1 - _up_run(path.bits, n2)
+    return DyckPath(up & (1 << n2 - 2) - 1, path.semilength - 1)
 
 
 def _rule_steps(params: ClassParams, n: int) -> Iterator[list[int]]:

@@ -424,7 +424,7 @@ def test_module_entry_point():
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:")
 
-    """Neither importing the CLI nor running verify with --jobs 2 loads multiprocessing."""
+
 def test_import_loads_no_process_pool():
     """No command needs multiprocessing: importing the CLI and running verify with --jobs 2 load none."""
     argv = ["verify", "--h", "4..5", "--k", "3", "--n-max", "4", "--jobs", "2"]

@@ -111,6 +111,15 @@ class TestChildren:
                     label = label_of(p, params)
                     assert len(children(p, params)) == _paper_child_count(label, h), (h, k, label)
 
+    @pytest.mark.parametrize("h,k", SUPPORTED)
+    def test_children_insert_ud_into_the_word(self, h, k):
+        # A word-level reference: child i is the parent's word with UD inserted before step i.
+        params = ClassParams(h, k)
+        for n in range(9):
+            for p in generate(params, n):
+                w, c = p.word, _paper_child_count(label_of(p, params), h)
+                assert [q.word for q in children(p, params)] == [w[:i] + "UD" + w[i:] for i in range(c)], w
+
 
 class TestGenerate:
     def test_n0(self):
