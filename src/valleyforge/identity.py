@@ -48,6 +48,8 @@ def rhs_coefficient_relation(h: int, k: int, n: int) -> int:
     """Coefficient n of (-1)^h S(h-1, k), or of -(1 - x^k) at h = 1; 0 past the degree."""
     if n < 0:
         raise DomainViolation(f"need n >= 0, got n={n}")
+    if h < 1 or k < 2:  # as build_S refuses them for the lhs
+        raise ValueError("need h >= 1 and k >= 2")
     poly = [(-1) ** h * c for c in build_S(h - 1, k)] if h > 1 else [-1, *[0] * (k - 1), 1]
     return poly[n] if n < len(poly) else 0
 

@@ -9,9 +9,8 @@ generating function whose n-th coefficient counts the class paths of
 semilength n.  No entry of the system has degree above k-1, so the solve is
 a linear recurrence of order k-1 on coefficient vectors: the solver keeps
 only the last k-1 columns, and the counting series (``f_series``) takes
-O(h*k) working memory besides its own coefficients.  A closed-form
-expression for each F_i doubles as an independent cross-check of the
-solver.
+O(h*k) working memory besides its own coefficients.  A closed form N_i / S
+for each F_i is proved by substituting it into the system, exactly.
 
 A polynomial is a plain list of integer coefficients, constant term first,
 as in ``paths`` and ``identity`` and in the JSON form; the lists built here
@@ -28,11 +27,8 @@ from .paths import ClassParams, height_denominator
 
 
 class TruncatedSeries:
-    """Exact power series truncated at a fixed order.
-
-    ``coeffs`` always holds order+1 integers; arithmetic never looks past
-    the truncation order.
-    """
+    """Exact power series truncated at a fixed order: ``coeffs`` holds order+1
+    integers.  It does no arithmetic; ``_row_times`` multiplies lists."""
 
     __slots__ = ("order", "coeffs")
 
@@ -43,25 +39,10 @@ class TruncatedSeries:
         self.coeffs = tuple(cs)
 
     def coefficient(self, n: int) -> int:
-        return self.coeffs[n] if 0 <= n <= self.order else 0
-
-    def mul_poly(self, poly: list[int]) -> "TruncatedSeries":
-        out = [0] * (self.order + 1)
-        for j, b in enumerate(poly):
-            if b:
-                for n in range(j, self.order + 1):
-                    out[n] += b * self.coeffs[n - j]
-        return TruncatedSeries(self.order, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, coeffs={list(self.coeffs)})"
+        """Coefficient n, 0 for n < 0; past the order it is unknown, so refused."""
+        if n > self.order:
+            raise IndexError(f"coefficient {n} is past the order {self.order}")
+        return self.coeffs[n] if n >= 0 else 0
 
     def to_json(self) -> list[str]:
         """JSON form: decimal-string coefficients, constant term first."""
@@ -167,25 +148,32 @@ def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
     return [TruncatedSeries(order, row) for row in zip(*_columns(params, order))]
 
 
+def _row_times(row: dict[int, list[int]], vectors: Sequence[Sequence[int]]) -> list[int]:
+    """sum_j row[j] * vectors[j], multiplied out exactly, trailing zeros dropped."""
+    out = [0] * max(len(a) + len(vectors[j]) for j, a in row.items())
+    for j, a in row.items():
+        for m, c in enumerate(a):
+            for t, d in enumerate(vectors[j]):
+                out[m + t] += c * d
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def system_residuals(params: ClassParams, order: int) -> list[list[int]]:
     """Coefficients 0..order of each row of A F - b; every entry must vanish."""
-    F = solve_series(params, order)
-    out = []
-    for i, row in enumerate(build_system(params)):
-        acc = [-1 if i == n == 0 else 0 for n in range(order + 1)]
-        for j, a in row.items():
-            for n, c in enumerate(F[j].mul_poly(a).coeffs):
-                acc[n] += c
-        out.append(acc)
-    return out
+    rows = build_system(params)
+    rows[0][params.h] = [-1]  # -b as column h, times the series 1
+    F = [s.coeffs for s in solve_series(params, order)] + [[1]]
+    return [(_row_times(row, F) + [0] * (order + 1))[: order + 1] for row in rows]
 
 
 def closed_form_numerator(params: ClassParams, i: int) -> list[int]:
     """N_i = sign * x^{i-1} * S(h+1-i, k), sign = (-1)^binom((h mod 2) + i + 3, 2).
 
-    F_i = N_i / S(h, k) for i = 1..h.  For i = h-1 the factor is not
-    S(2, k) = -1 + 2x - x^{k+1} but -1 + 2x - x^k: F_{h-1} also holds the
-    paths the last label goes back to.
+    F_i = N_i / S(h, k) for i = 1..h (``closed_form_residuals``).  For
+    i = h-1 the factor is not S(2, k) = -1 + 2x - x^{k+1} but -1 + 2x - x^k:
+    F_{h-1} also holds the paths the last label goes back to.
     """
     if not 1 <= i <= params.h:
         raise ValueError(f"i must be in 1..{params.h}")
@@ -195,23 +183,18 @@ def closed_form_numerator(params: ClassParams, i: int) -> list[int]:
     return [0] * (i - 1) + [sign * c for c in S]
 
 
-def closed_form_F(params: ClassParams, i: int, order: int) -> TruncatedSeries:
-    """Series expansion of the closed-form expression N_i / S(h, k) for F_i.
+def closed_form_residuals(params: ClassParams) -> list[list[int]]:
+    """Each row of A N - b S(h, k) as a polynomial, N_i = ``closed_form_numerator``.
 
-    The denominator has constant term +-1, so exact long division yields
-    integer coefficients.
+    The rows are all empty exactly when F_i = N_i / S solves A F = b.  A is
+    invertible at x = 0, so that proves the solver's F_i equal N_i / S at
+    every order, with no truncation.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    num = closed_form_numerator(params, i)
-    den = build_S(params.h, params.k)
-    coeffs = [0] * (order + 1)
-    for n in range(order + 1):
-        s = num[n] if n < len(num) else 0
-        for m in range(1, min(n, len(den) - 1) + 1):
-            s -= den[m] * coeffs[n - m]
-        coeffs[n] = s if den[0] == 1 else -s
-    return TruncatedSeries(order, coeffs)
+    rows = build_system(params)
+    rows[0][params.h] = [-1]  # -b as column h, times S
+    N = [closed_form_numerator(params, i) for i in range(1, params.h + 1)]
+    N.append(build_S(params.h, params.k))
+    return [_row_times(row, N) for row in rows]
 
 
 def _counts(params: ClassParams, columns: Iterable[Sequence[int]]) -> TruncatedSeries:

@@ -76,11 +76,16 @@ def test_criterion_5_closed_form_certification():
     bad = []
     for h, k in GRID:
         params = ClassParams(h, k)
-        F = series.solve_series(params, 30)
-        for i in range(1, h + 1):
-            if series.closed_form_F(params, i, 30) != F[i - 1]:
+        if any(series.closed_form_residuals(params)):  # A N = b S, exactly
+            bad.append((h, k, "substitution"))
+        S = series.build_S(h, k)
+        for i, F in enumerate(series.solve_series(params, 30), start=1):
+            # S F_i = N_i mod x^31: the solver against the closed form, no division
+            SF = series._row_times({0: S}, [F.coeffs]) + [0] * 31
+            N = series.closed_form_numerator(params, i) + [0] * 31
+            if SF[:31] != N[:31]:
                 bad.append((h, k, i))
-    _report(5, "closed form matches solver to order 30", not bad,
+    _report(5, "closed form solves the system and matches solver to order 30", not bad,
             f"components: {bad}" if bad else "")
 
 

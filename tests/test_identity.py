@@ -122,6 +122,14 @@ class TestRhs:
         with pytest.raises(DomainViolation, match="n >= 0"):
             rhs_coefficient_relation(5, 7, -1)
 
+    @pytest.mark.parametrize("h,k", [(0, 3), (-5, 3), (1, 1), (1, 0), (3, 1)])
+    def test_refuses_what_the_lhs_refuses(self, h, k):
+        """No S(h, k) exists below h = 1 or k = 2, so neither side has coefficients."""
+        with pytest.raises(ValueError, match="need h >= 1 and k >= 2"):
+            rhs_coefficient_relation(h, k, 2)
+        with pytest.raises(ValueError, match="need h >= 1 and k >= 2"):
+            lhs_coefficient_relation(h, k, 2, [1, 1, 2])
+
 
 class TestCheckRelation:
     @pytest.mark.parametrize("h,k", [(4, 6), (5, 7)])

@@ -6,10 +6,11 @@ from valleyforge.oracle import brute_counts_upto
 from valleyforge.paths import ClassParams, catalan
 from valleyforge.series import (
     TruncatedSeries,
+    _row_times,
     build_S,
     build_system,
-    closed_form_F,
     closed_form_numerator,
+    closed_form_residuals,
     f_series,
     solve_series,
     system_residuals,
@@ -18,16 +19,9 @@ from valleyforge.series import (
 GRID = [(h, k) for h in range(1, 9) for k in range(2, 7)]
 
 
-def _row_times(row, N):
-    """sum_j row[j] * N[j], multiplied out as coefficient lists, trailing zeros dropped."""
-    out = [0] * max(len(a) + len(N[j]) for j, a in row.items())
-    for j, a in row.items():
-        for m, c in enumerate(a):
-            for t, d in enumerate(N[j]):
-                out[m + t] += c * d
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _mod(poly, order):
+    """The coefficients 0..order of a polynomial or series, zero-padded."""
+    return (list(poly) + [0] * (order + 1))[: order + 1]
 
 
 def _back_substitution(params, order):
@@ -51,7 +45,7 @@ def _back_substitution(params, order):
                     s -= a[0] * vec[j]
             vec[i] = s if row[i][0] == 1 else -s
         cols.append(vec)
-    return [TruncatedSeries(order, col) for col in zip(*cols)]
+    return list(zip(*cols))
 
 
 class TestTruncatedSeries:
@@ -59,13 +53,27 @@ class TestTruncatedSeries:
         s = TruncatedSeries(4, [1, 2])
         assert s.coeffs == (1, 2, 0, 0, 0)
 
-    def test_mul_poly(self):
-        s = TruncatedSeries(3, [1, 1, 1, 1])
-        assert s.mul_poly([0, 1]).coeffs == (0, 1, 1, 1)
-
     def test_json_round_trip(self):
         s = TruncatedSeries(2, [1, -2, 3])
-        assert TruncatedSeries.from_json(s.to_json()) == s
+        back = TruncatedSeries.from_json(s.to_json())
+        assert (back.order, back.coeffs) == (2, (1, -2, 3))
+
+    def test_coefficient_past_the_order_is_refused(self):
+        """Past the order a coefficient is unknown, not zero."""
+        s = TruncatedSeries(2, [1, -2, 3])
+        assert [s.coefficient(n) for n in range(-2, 3)] == [0, 0, 1, -2, 3]
+        for n in (3, 10):
+            with pytest.raises(IndexError, match=f"coefficient {n} is past the order 2"):
+                s.coefficient(n)
+
+
+class TestRowTimes:
+    def test_products_summed_and_trimmed(self):
+        # (1 + x) (1 - x) + x^2 * 1 = 1, and the zero terms are dropped
+        assert _row_times({0: [1, 1], 2: [0, 0, 1]}, [[1, -1], [5], [1]]) == [1]
+        assert _row_times({1: [2]}, [[], [0, 3, 0, 4]]) == [0, 6, 0, 8]
+        assert _row_times({0: [1]}, [[1, -1], [9]]) == [1, -1]
+        assert _row_times({0: [1], 1: [-1]}, [[1, 2], [1, 2]]) == []
 
 
 class TestBuildS:
@@ -167,11 +175,13 @@ class TestSolveSeries:
     def test_matches_back_substitution(self, h):
         for k in range(2, 12):
             params = ClassParams(h, k)
-            assert solve_series(params, 60) == _back_substitution(params, 60), (h, k)
+            got = [s.coeffs for s in solve_series(params, 60)]
+            assert got == _back_substitution(params, 60), (h, k)
 
     def test_matches_back_substitution_deep(self):
         params = ClassParams(64, 5)
-        assert solve_series(params, 1000) == _back_substitution(params, 1000)
+        got = [s.coeffs for s in solve_series(params, 1000)]
+        assert got == _back_substitution(params, 1000)
 
     def test_negative_order_refused_before_any_column(self, monkeypatch):
         """The order is checked when the columns are asked for, not when the first is read."""
@@ -190,45 +200,77 @@ class TestClosedForm:
     # At h = 2, F_1 = 1 + x^{k-1} F_2 (test_h2_component_one_holds_the_wrap).
     @pytest.mark.parametrize("h,k", [(h, k) for h, k in GRID if h != 2])
     def test_component_one_is_constant_one(self, h, k):
-        assert closed_form_F(ClassParams(h, k), 1, 8).coeffs == (1,) + (0,) * 8
+        assert closed_form_numerator(ClassParams(h, k), 1) == build_S(h, k)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_h2_component_one_holds_the_wrap(self, k):
-        """The last label goes back to the root's label (1)."""
+        """The last label goes back to the root's label (1): N_1 - x^{k-1} N_2 = S."""
         params = ClassParams(2, k)
-        F2 = closed_form_F(params, 2, 12).mul_poly([0] * (k - 1) + [1]).coeffs
-        assert closed_form_F(params, 1, 12).coeffs == (1 + F2[0],) + F2[1:]
+        N = [closed_form_numerator(params, i) for i in (1, 2)]
+        assert _row_times({0: [1], 1: [0] * (k - 1) + [-1]}, N) == build_S(2, k)
 
     def test_negative_order(self):
-        with pytest.raises(ValueError, match="order must be >= 0"):
-            closed_form_F(ClassParams(4, 3), 1, -1)
-        with pytest.raises(ValueError, match="order must be >= 0"):
-            solve_series(ClassParams(4, 3), -1)
+        for solve in (solve_series, system_residuals):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                solve(ClassParams(4, 3), -1)
 
     @pytest.mark.parametrize("h,k", GRID)
     def test_agrees_with_solver(self, h, k):
+        """S F_i = N_i mod x^31: the solver's series against the closed form."""
         params = ClassParams(h, k)
-        F = solve_series(params, 30)
-        for i in range(1, h + 1):
-            assert closed_form_F(params, i, 30) == F[i - 1], (h, k, i)
+        S = build_S(h, k)
+        for i, s in enumerate(solve_series(params, 30), start=1):
+            got = _mod(_row_times({0: S}, [s.coeffs]), 30)
+            assert got == _mod(closed_form_numerator(params, i), 30), (h, k, i)
 
-    @pytest.mark.parametrize("h,ks", [(h, range(2, 12)) for h in range(1, 41)] + [(500, [7])],
-                             ids=[f"h{h}-k2..11" for h in range(1, 41)] + ["h500-k7"])
+    @pytest.mark.parametrize(
+        "h,ks",
+        [(h, range(2, 12)) for h in range(1, 41)] + [(500, [7])]
+        + [(h, range(12, 16)) for h in range(1, 41)] + [(64, [5]), (128, [3])],
+        ids=[f"h{h}-k2..11" for h in range(1, 41)] + ["h500-k7"]
+        + [f"h{h}-k12..15" for h in range(1, 41)] + ["h64-k5", "h128-k3"])
     def test_solves_the_system_exactly(self, h, ks):
         """A N = b S as polynomials, for every k in ``ks``.  A(0) is
         invertible, so the power-series solution is unique and F_i = N_i / S
         holds at every order."""
         for params in (ClassParams(h, k) for k in ks):
+            assert closed_form_residuals(params) == [[]] * h, (h, params.k)
+
+    @pytest.mark.parametrize("h,k", [(h, k) for h, k in GRID if h > 1] + [(64, 5), (128, 3)])
+    def test_wrong_numerators_leave_a_residual(self, h, k, monkeypatch):
+        """One N_i with the wrong sign, or the i = h-1 factor taken as S(2, k)
+        instead of -1 + 2x - x^k, must leave a nonempty row."""
+        params = ClassParams(h, k)
+        N = [closed_form_numerator(params, i) for i in range(1, h + 1)]
+        sign = -N[h - 2][h - 2]  # N_{h-1} = sign x^{h-2} (-1 + 2x - x^k)
+        wrong = [(i, [-c for c in N[i - 1]]) for i in sorted({1, h // 2, h - 1, h})]
+        wrong.append((h - 1, [0] * (h - 2) + [sign * c for c in build_S(2, k)]))
+        for bad, poly in wrong:
+            monkeypatch.setattr(series, "closed_form_numerator",
+                                lambda p, i: poly if i == bad else N[i - 1])
+            assert any(closed_form_residuals(params)), (h, k, bad, poly)
+
+    @pytest.mark.parametrize("h", range(1, 41))
+    def test_counting_numerator(self, h):
+        """The N_i taken through ``_counts`` as polynomials give the counting
+        numerator (-1)^h S(h-1, k), or -(1 - x^k) at h = 1, so with the test
+        above f = (-1)^h S(h-1, k) / S(h, k) at every order."""
+        for k in range(2, 16):
+            params = ClassParams(h, k)
             N = [closed_form_numerator(params, i) for i in range(1, h + 1)]
-            S = build_S(h, params.k)
-            for i, row in enumerate(build_system(params)):
-                assert _row_times(row, N) == (S if i == 0 else []), (h, params.k, i)
+            top = k - 1 if h == 1 else k - 2
+            width = max(map(len, N)) + top
+            P = list(series._counts(params, zip(*(_mod(n, width - 1) for n in N))).coeffs)
+            want = [-1] + [0] * (k - 1) + [1] if h == 1 else [
+                (-1) ** h * c for c in build_S(h - 1, k)]
+            assert P == _mod(want, width - 1) and len(want) <= width, (h, k)
 
     def test_h4k3_component4_explicit(self):
-        # x^3 (1 - x) / (1 - 4x + 3x^2 + x^4 - x^5), expanded by hand division
-        got = closed_form_F(ClassParams(4, 3), 4, 8)
-        prod = got.mul_poly(build_S(4, 3))
-        assert prod == TruncatedSeries(8, [0, 0, 0, 1, -1])
+        # F_4 = x^3 (1 - x) / (1 - 4x + 3x^2 + x^4 - x^5)
+        params = ClassParams(4, 3)
+        assert closed_form_numerator(params, 4) == [0, 0, 0, 1, -1]
+        F4 = solve_series(params, 8)[3].coeffs
+        assert _mod(_row_times({0: build_S(4, 3)}, [F4]), 8) == [0, 0, 0, 1, -1, 0, 0, 0, 0]
 
 
 class TestFSeries:
@@ -265,5 +307,5 @@ class TestFSeries:
         F = solve_series(params, 15)
         parts = [s.coeffs for s in F]
         for j in range(k - 2 if h > 1 else k - 1):
-            parts.append(F[-1].mul_poly([0] * (j + 1) + [1]).coeffs)
+            parts.append(((0,) * (j + 1) + F[-1].coeffs)[:16])
         assert f_series(params, 15).coeffs == tuple(map(sum, zip(*parts)))
