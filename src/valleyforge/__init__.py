@@ -9,7 +9,6 @@ fall out of the generating function.
 from .errors import (
     BadSymbol,
     CapExceeded,
-    DomainViolation,
     EmptyPath,
     NegativePrefix,
     NotInClass,
@@ -33,7 +32,6 @@ __all__ = [
     "BadSymbol",
     "CapExceeded",
     "ClassParams",
-    "DomainViolation",
     "DyckPath",
     "EMPTY_PATH",
     "EmptyPath",

@@ -27,7 +27,3 @@ class NotInClass(ValleyforgeError):
 
 class CapExceeded(ValleyforgeError):
     """Requested semilength exceeds the listing cap (ECO route, generate, enumerate_dyck)."""
-
-
-class DomainViolation(ValleyforgeError):
-    """A coefficient relation was given too few class counts, or n < 0."""

@@ -5,14 +5,15 @@ denominator q_h(x) = sum_j (-1)^j binom(h+1-j, j) x^j
 (``paths.height_denominator``; de Bruijn, Knuth and Rice, "The average
 height of planted plane trees", 1972; Flajolet, "Combinatorial aspects of
 continued fractions", Discrete Math. 32, 1980).  The coefficient relation
-adds the run bound k: with S = ``series.build_S``, the class counts D_n obey
+adds the run bound k: the class counts D_n obey D(x) S(h, k) = P, with
+S = ``series.build_S`` and P = ``series.counting_numerator``,
 
-    D(x) S(h, k) = (-1)^h S(h-1, k)   (h >= 2),   D(x) S(1, k) = -(1 - x^k).
+    P = (-1)^h S(h-1, k)   (h >= 2),   P = -(1 - x^k)   (h = 1).
 
 It is derived and checked here, against counts from every route; no
-theorem is quoted for it.  ``check_relation`` takes n = 0 .. h+k-1, the
-last being the first semilength where the run bound removes a path,
-U^h (DU)^{k-1} D^h.
+theorem is quoted for it.  ``check_relation`` refuses a bad (h, k) before
+it reads any count, then takes n = 0 .. h+k-1, the last being the first
+semilength where the run bound removes a path, U^h (DU)^{k-1} D^h.
 
 The Catalan recurrence: the height series agrees with the Catalan series
 C(x) through x^h, so coefficients ceil((h+1)/2) .. h of C(x) q_h(x)
@@ -25,46 +26,26 @@ from the two before, in O(H^2) additions in all (``catalan_recurrence_rows``).
 from __future__ import annotations
 
 from operator import mul, sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .errors import DomainViolation
 from .paths import catalan_upto
-from .series import build_S
-
-
-def lhs_coefficient_relation(h: int, k: int, n: int, D: Sequence[int]) -> int:
-    """Coefficient n of S(h, k) D(x): sum_j S(h, k)[j] D_{n-j}.
-
-    Terms with n - j < 0 contribute zero.  ``D`` holds the counts D_0 .. D_n at least.
-    """
-    if n < 0:
-        raise DomainViolation(f"need n >= 0, got n={n}")
-    if len(D) <= n:
-        raise DomainViolation(f"need the counts D_0..D_{n}, got {len(D)}")
-    return sum(map(mul, build_S(h, k), D[n::-1]))
-
-
-def rhs_coefficient_relation(h: int, k: int, n: int) -> int:
-    """Coefficient n of (-1)^h S(h-1, k), or of -(1 - x^k) at h = 1; 0 past the degree."""
-    if n < 0:
-        raise DomainViolation(f"need n >= 0, got n={n}")
-    if h < 1 or k < 2:  # as build_S refuses them for the lhs
-        raise ValueError("need h >= 1 and k >= 2")
-    poly = [(-1) ** h * c for c in build_S(h - 1, k)] if h > 1 else [-1, *[0] * (k - 1), 1]
-    return poly[n] if n < len(poly) else 0
+from .series import build_S, counting_numerator
 
 
 def check_relation(
     h: int, k: int, provider: Callable[[int], int]
 ) -> list[tuple[int, int, int]]:
-    """Every (n, lhs, rhs) with lhs != rhs, 0 <= n <= h+k-1, counts from ``provider``."""
+    """Every (n, lhs, rhs), 0 <= n <= h+k-1, where coefficient n of S(h, k) D(x)
+    differs from that of ``series.counting_numerator`` (0 past its degree);
+    D_n is ``provider(n)``, read only once S and P exist for (h, k)."""
+    S, P = build_S(h, k), counting_numerator(h, k)
     D = [provider(n) for n in range(h + k)]
+    P += [0] * (h + k - len(P))
     failures = []
     for n in range(h + k):
-        lhs = lhs_coefficient_relation(h, k, n, D)
-        rhs = rhs_coefficient_relation(h, k, n)
-        if lhs != rhs:
-            failures.append((n, lhs, rhs))
+        lhs = sum(map(mul, S, D[n::-1]))
+        if lhs != P[n]:
+            failures.append((n, lhs, P[n]))
     return failures
 
 

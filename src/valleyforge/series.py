@@ -9,8 +9,8 @@ generating function whose n-th coefficient counts the class paths of
 semilength n.  No entry of the system has degree above k-1, so the solve is
 a linear recurrence of order k-1 on coefficient vectors: the solver keeps
 only the last k-1 columns, and the counting series (``f_series``) takes
-O(h*k) working memory besides its own coefficients.  A closed form N_i / S
-for each F_i is proved by substituting it into the system, exactly.
+O(h*k) working memory besides its own coefficients.  Each F_i is N_i / S,
+proved by exact substitution, and f = P / S, P = ``counting_numerator``.
 
 A polynomial is a plain list of integer coefficients, constant term first,
 as in ``paths`` and ``identity`` and in the JSON form; the lists built here
@@ -60,8 +60,7 @@ def build_S(h: int, k: int) -> list[int]:
     denominator for Dyck paths of height <= h (``height_denominator``), with
     q_{-1} = 1 and q_{-2} = 0.
     """
-    if h < 1 or k < 2:
-        raise ValueError("need h >= 1 and k >= 2")
+    ClassParams(h, k)  # refuses h < 1 and k < 2
     q, tail = height_denominator(h), height_denominator(h - 3)
     # x^{k+1} q_{h-3} has the higher degree (k >= 2); it is empty for h = 1
     s = q + [0] * (k + 1 + len(tail) - len(q)) if tail else q
@@ -69,6 +68,17 @@ def build_S(h: int, k: int) -> list[int]:
         s[j] += c
     sign = (-1) ** comb(h + 1, 2)
     return [sign * c for c in s]
+
+
+def counting_numerator(h: int, k: int) -> list[int]:
+    """P = (-1)^h S(h-1, k), or -(1 - x^k) at h = 1: the counting series is P / S(h, k).
+
+    The N_i of ``closed_form_numerator``, summed as ``_counts`` sums the
+    F_i, give P (checked on h <= 40, k <= 15), so by ``closed_form_residuals``
+    f = P / S there at every order.
+    """
+    ClassParams(h, k)  # refuses h < 1 and k < 2
+    return [(-1) ** h * c for c in build_S(h - 1, k)] if h > 1 else [-1, *[0] * (k - 1), 1]
 
 
 def build_system(params: ClassParams) -> list[dict[int, list[int]]]:

@@ -438,10 +438,13 @@ def test_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
-def test_oracle_imports_no_other_route():
-    """The oracle is checked against ECO and the series, so importing it loads neither."""
-    child = ("import sys, valleyforge.oracle\n"
-             "print(sorted({'valleyforge.eco', 'valleyforge.series'} & set(sys.modules)))\n")
+@pytest.mark.parametrize("route", ["oracle", "eco", "series"])
+def test_oracle_imports_no_other_route(route):
+    """The oracle, ECO and the series are checked against each other, so
+    importing one loads neither of the other two."""
+    others = {f"valleyforge.{r}" for r in ("oracle", "eco", "series") if r != route}
+    child = (f"import sys, valleyforge.{route}\n"
+             f"print(sorted({others!r} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           env=_child_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")

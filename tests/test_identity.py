@@ -5,16 +5,10 @@ from operator import mul
 import pytest
 
 from valleyforge.eco import rule_totals_upto
-from valleyforge.errors import DomainViolation
-from valleyforge.identity import (
-    catalan_recurrence_rows,
-    check_relation,
-    lhs_coefficient_relation,
-    rhs_coefficient_relation,
-)
+from valleyforge.identity import catalan_recurrence_rows, check_relation
 from valleyforge.oracle import brute_count, brute_counts_upto
 from valleyforge.paths import ClassParams, catalan, catalan_upto, height_denominator
-from valleyforge.series import f_series
+from valleyforge.series import build_S, counting_numerator, f_series
 
 
 def _pascal_rhs(h, n):
@@ -52,83 +46,87 @@ def _series_div(num, den, order):
     return out
 
 
+def _P(h, k, n):
+    """Coefficient n of the counting numerator, 0 past its degree."""
+    P = counting_numerator(h, k)
+    return P[n] if n < len(P) else 0
+
+
 class TestLhs:
+    """The left side, coefficient n of S(h, k) D(x), read from the failures
+    ``check_relation`` lists with the rhs beside it."""
+
     def test_single_term_n0(self):
-        assert lhs_coefficient_relation(5, 7, 0, [1]) == -1
+        # n = 0 keeps only S[0] D_0 = -D_0, so D_0 = 2 gives lhs -2 against rhs -1
+        counts = brute_counts_upto(ClassParams(5, 7), 11)
+        assert check_relation(5, 7, lambda n: counts[n] + (n == 0))[0] == (0, -2, -1)
 
     def test_matches_rhs_small(self):
-        D = [catalan(n) for n in range(4)]
-        assert lhs_coefficient_relation(4, 6, 2, D) == rhs_coefficient_relation(4, 6, 2)
+        # Catalan numbers are the class counts through n = h, so the sides agree there
+        failures = check_relation(4, 6, catalan)
+        assert failures and min(n for n, _, _ in failures) == 5
 
     def test_negative_indices_drop_out(self):
         # n = 0 keeps only the j = 0 term whatever the tail of D holds
-        assert lhs_coefficient_relation(5, 7, 0, [1, 999, 999]) == -1
-
-    def test_domain(self):
-        # k <= h and n >= h are in range; only n < 0 is refused, since
-        # D[n::-1] at n = -1 would read the whole list reversed
-        D = brute_counts_upto(ClassParams(5, 5), 9)
-        assert lhs_coefficient_relation(5, 5, 1, D) == rhs_coefficient_relation(5, 5, 1)
-        assert lhs_coefficient_relation(5, 5, 9, D) == rhs_coefficient_relation(5, 5, 9)
-        with pytest.raises(DomainViolation, match="n >= 0"):
-            lhs_coefficient_relation(5, 7, -1, [1] * 6)
-
-    def test_short_counts_refused(self):
-        # D[n::-1] would start from D's last entry and pair the wrong terms
-        assert lhs_coefficient_relation(4, 6, 3, [1, 1, 2, 5]) == 0
-        with pytest.raises(DomainViolation, match="D_0..D_3, got 3"):
-            lhs_coefficient_relation(4, 6, 3, [1, 1, 2])
+        failures = check_relation(5, 7, lambda n: 1 if n == 0 else 999)
+        assert failures and failures[0][0] == 1
 
 
 class TestRhs:
     def test_n0_single_term(self):
         for h in range(2, 10):
-            assert rhs_coefficient_relation(h, h + 1, 0) == (-1) ** ((h + 1) // 2)
+            assert counting_numerator(h, h + 1)[0] == (-1) ** ((h + 1) // 2)
 
     def test_h5_n3_full_row_vanishes(self):
-        assert rhs_coefficient_relation(5, 7, 3) == 0
+        assert _P(5, 7, 3) == 0
 
     def test_partial_row_sum_closed_form(self):
         # sum_{t<=m} (-1)^t binom(N, t) = (-1)^m binom(N-1, m), N = h-n+1, m = min(n, N)
         for h in range(1, 41):
             for n in range(h):
                 sign = (-1) ** ((h + 1) // 2 + n)
-                assert rhs_coefficient_relation(h, h + 1, n) == sign * comb(h - n, n), (h, n)
+                assert _P(h, h + 1, n) == sign * comb(h - n, n), (h, n)
 
     def test_vanishes_on_recurrence_window(self):
         for h in range(4, 20):
             for n in range((h + 2) // 2, h):
-                assert rhs_coefficient_relation(h, h + 1, n) == 0
+                assert _P(h, h + 1, n) == 0
 
     def test_pascal_row_reference(self):
         # on 0 <= n < h < k the right side is the old Pascal-row loop, whatever k is
         for h in range(1, 41):
             for k in range(h + 1, h + 4):
                 for n in range(h):
-                    assert rhs_coefficient_relation(h, k, n) == _pascal_rhs(h, n), (h, k, n)
+                    assert _P(h, k, n) == _pascal_rhs(h, n), (h, k, n)
 
     def test_h1(self):
         # -(1 - x^k): -1 at n = 0, 1 at n = k, 0 elsewhere
         for k in range(2, 8):
             expected = [-1] + [0] * (k - 1) + [1] + [0] * 5
-            assert [rhs_coefficient_relation(1, k, n) for n in range(k + 6)] == expected, k
+            assert [_P(1, k, n) for n in range(k + 6)] == expected, k
 
     def test_zero_past_degree(self):
         # (-1)^5 S(4, 3) = q_4 + x^4 q_1 has degree 5
-        assert [rhs_coefficient_relation(5, 3, n) for n in range(8)] == [-1, 4, -3, 0, -1, 1, 0, 0]
+        assert counting_numerator(5, 3) == [-1, 4, -3, 0, -1, 1]
+        assert [_P(5, 3, n) for n in range(8)] == [-1, 4, -3, 0, -1, 1, 0, 0]
 
     def test_domain(self):
-        assert rhs_coefficient_relation(5, 5, 5) == 0
-        with pytest.raises(DomainViolation, match="n >= 0"):
-            rhs_coefficient_relation(5, 7, -1)
+        # k <= h is in range: -S(4, 5) = q_4 + x^6 q_1 has no x^5 term
+        assert _P(5, 5, 5) == 0
 
-    @pytest.mark.parametrize("h,k", [(0, 3), (-5, 3), (1, 1), (1, 0), (3, 1)])
+    @pytest.mark.parametrize("h,k", [(0, 3), (-5, 3), (1, 1), (1, 0), (3, 1), (-2, 1)])
     def test_refuses_what_the_lhs_refuses(self, h, k):
-        """No S(h, k) exists below h = 1 or k = 2, so neither side has coefficients."""
-        with pytest.raises(ValueError, match="need h >= 1 and k >= 2"):
-            rhs_coefficient_relation(h, k, 2)
-        with pytest.raises(ValueError, match="need h >= 1 and k >= 2"):
-            lhs_coefficient_relation(h, k, 2, [1, 1, 2])
+        """No S(h, k) exists below h = 1 or k = 2, so neither side has
+        coefficients, and ``check_relation`` reads no count."""
+
+        def provider(n):
+            pytest.fail(f"count D_{n} read for (h, k) = ({h}, {k})")
+
+        message = f"h must be >= 1, got {h}" if h < 1 else f"k must be >= 2, got {k}"
+        for call in (lambda: build_S(h, k), lambda: counting_numerator(h, k),
+                     lambda: check_relation(h, k, provider)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestCheckRelation:
@@ -169,9 +167,10 @@ class TestCheckRelation:
 
     @pytest.mark.parametrize("h,k", [(64, 5), (128, 3), (7, 40)])
     def test_deep_cells(self, h, k):
-        D = rule_totals_upto(ClassParams(h, k), h + k + 60)
-        for n in range(h + k + 61):
-            assert lhs_coefficient_relation(h, k, n, D) == rhs_coefficient_relation(h, k, n), n
+        nmax = h + k + 60
+        D = rule_totals_upto(ClassParams(h, k), nmax)
+        lhs = _poly_mul(build_S(h, k), D)[: nmax + 1]
+        assert lhs == [_P(h, k, n) for n in range(nmax + 1)]
 
     def test_failures_are_listed(self):
         # D_1 off by one at (4, 6) moves lhs at n = 1 + j for every nonzero
@@ -180,7 +179,7 @@ class TestCheckRelation:
         failures = check_relation(4, 6, lambda n: counts[n] + (n == 1))
         assert [n for n, _, _ in failures] == [1, 2, 3, 8, 9]
         for n, lhs, rhs in failures:
-            assert rhs == rhs_coefficient_relation(4, 6, n) != lhs
+            assert rhs == _P(4, 6, n) != lhs
         # the last semilength checked, where the run bound first removes a path
         counts = brute_counts_upto(ClassParams(5, 3), 7)
         assert [n for n, _, _ in check_relation(5, 3, lambda n: counts[n] + (n == 7))] == [7]

@@ -264,6 +264,7 @@ class TestClosedForm:
             want = [-1] + [0] * (k - 1) + [1] if h == 1 else [
                 (-1) ** h * c for c in build_S(h - 1, k)]
             assert P == _mod(want, width - 1) and len(want) <= width, (h, k)
+            assert series.counting_numerator(h, k) == want, (h, k)
 
     def test_h4k3_component4_explicit(self):
         # F_4 = x^3 (1 - x) / (1 - 4x + 3x^2 + x^4 - x^5)
