@@ -144,9 +144,9 @@ def _cmd_series(args) -> int:
     if args.show_components:
         F = series.solve_series(params, args.order)
         fs = series.counting_series(params, F)
+        denominator = [str(c) for c in series.build_S(args.h, args.k)]
     else:
         fs = series.f_series(params, args.order)
-    denominator = [str(c) for c in series.build_S(args.h, args.k)]
     if args.format == "json":
         head = json.dumps({"h": args.h, "k": args.k, "coefficients": fs.to_json()})
         if args.show_components:

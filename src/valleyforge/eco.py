@@ -82,7 +82,7 @@ def label_of(path: DyckPath, params: ClassParams) -> str:
     """
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
-    return _label_text(_label(path.bits, 2 * path.semilength, params.h, params.k), params.h)
+    return _label_text(_label(path.bits, path.bits.bit_length(), params.h, params.k), params.h)
 
 
 def _child_counts(block: list[int], n2: int, h: int, k: int) -> list[int]:
@@ -136,8 +136,7 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     are emitted in increasing ordinate of the insertion point, so the list
     order is deterministic.
     """
-    m = path.semilength + 1
-    return [DyckPath(bits, m) for bits in _grow([path.bits], 2 * path.semilength, params.h, params.k)]
+    return [DyckPath(bits) for bits in _grow([path.bits], path.bits.bit_length(), params.h, params.k)]
 
 
 # Parents grown into one block of children: the walk holds about
@@ -267,7 +266,7 @@ def generate(params: ClassParams, n: int) -> list[DyckPath]:
     # generator, so no list of them is held beside sorted()'s own, and the
     # bit-pattern list is let go before the sort keys are made.
     level = [bits for m, block in walk(params, n) if m == n for bits in block]
-    level = (DyckPath(bits, n) for bits in level)
+    level = (DyckPath(bits) for bits in level)
     return sorted(level, key=lambda p: p.word)
 
 
@@ -277,11 +276,11 @@ def invert_first_peak(path: DyckPath) -> DyckPath:
     The growth's bit flip undone: turning the first D into a U gives UU
     followed by the parent, and the parent is the low 2n-2 bits.
     """
-    if path.semilength == 0:
+    n2 = path.bits.bit_length()
+    if n2 == 0:
         raise EmptyPath("the empty path has no peak to remove")
-    n2 = 2 * path.semilength
     up = path.bits ^ 1 << n2 - 1 - _up_run(path.bits, n2)
-    return DyckPath(up & (1 << n2 - 2) - 1, path.semilength - 1)
+    return DyckPath(up & (1 << n2 - 2) - 1)
 
 
 def _rule_steps(params: ClassParams, n: int) -> Iterator[list[int]]:
@@ -317,5 +316,9 @@ def rule_counts(params: ClassParams, n: int) -> Counter[str]:
 
 
 def rule_totals_upto(params: ClassParams, nmax: int) -> list[int]:
-    """Succession-rule class counts for every semilength 0..nmax, in one sweep."""
+    """Succession-rule class counts for every semilength 0..nmax, in one sweep,
+    taken at (min(h, nmax+1), min(k, nmax+2)) as ``series.f_series`` takes them."""
+    if nmax < 0:
+        raise ValueError("n must be >= 0")
+    params = ClassParams(min(params.h, nmax + 1), min(params.k, nmax + 2))
     return [sum(v) for v in _rule_steps(params, nmax)]

@@ -1,10 +1,10 @@
 """Dyck path representation, structural predicates, and Catalan numbers.
 
 A Dyck path is stored as a packed bit sequence: U = 1, D = 0, first step in
-the most significant position.  The canonical text form is an uppercase
-'U'/'D' string with no separators; that string is the wire format used by
-every other module and by the CLI.  The predicates (height, valley runs,
-class membership) read the bits and never render the word.
+the most significant position; the semilength is half the bit length.
+Modules pass these bit patterns; the uppercase 'U'/'D' word, with no
+separators, is the form the CLI prints and ``parse_path`` reads.  The
+predicates (height, valley runs, class membership) never render the word.
 """
 
 from __future__ import annotations
@@ -15,28 +15,32 @@ from math import comb
 from .errors import BadSymbol, NegativePrefix, UnbalancedWord
 
 
-@dataclass(frozen=True, order=False, slots=True)
+@dataclass(frozen=True, order=False)
 class DyckPath:
     """Immutable balanced U/D step sequence with nonnegative prefixes.
 
-    ``bits`` packs the 2*semilength steps (U=1, D=0, first step most
-    significant).  The constructor trusts its arguments; use
-    :func:`parse_path` to build a path from untrusted text.
+    ``bits``, the one field, packs the steps (U=1, D=0, first step most
+    significant).  A nonempty path begins with U, so ``semilength`` and
+    ``word`` derive from ``bits.bit_length()``.  The constructor trusts
+    ``bits``; use :func:`parse_path` to build a path from untrusted text.
     """
 
+    __slots__ = ("bits",)  # by hand: under slots=True, setting semilength raises TypeError
     bits: int
-    semilength: int
+    semilength = property(lambda self: self.bits.bit_length() >> 1)
+
+    def __reduce__(self):  # pickle through the constructor: a frozen slot cannot be set
+        return DyckPath, (self.bits,)
 
     @property
     def word(self) -> str:
-        # The sentinel bit above the first step keeps its leading D steps.
-        return bin(self.bits | 1 << 2 * self.semilength)[3:].translate(_WORD)
+        return bin(self.bits)[2:].translate(_WORD) if self.bits else ""
 
     def __str__(self) -> str:
         return self.word
 
 
-EMPTY_PATH = DyckPath(0, 0)
+EMPTY_PATH = DyckPath(0)
 
 # Steps as text and as binary digits.
 _WORD = str.maketrans("10", "UD")
@@ -69,7 +73,7 @@ def parse_path(word: str) -> DyckPath:
         bits = int(word.translate(_BITS) or "0", 2)
         # No prefix dips below the axis: the mirror image never rises above it.
         if not _top(bits ^ ((1 << n2) - 1), n2):
-            return DyckPath(bits, n)
+            return DyckPath(bits)
     # A malformed word: walk it step by step to name its first fault.
     balance = 0
     for i, ch in enumerate(word):
@@ -111,7 +115,7 @@ def _top(bits: int, n2: int) -> int:
 
 def height(path: DyckPath) -> int:
     """Maximum ordinate reached by the path."""
-    return _top(path.bits, 2 * path.semilength)
+    return _top(path.bits, path.bits.bit_length())
 
 
 def _valleys(bits: int, n2: int) -> int:
@@ -132,7 +136,7 @@ def max_valley_run_at_height(path: DyckPath, y: int) -> int:
     placed once, by a popcount of the steps before it.
     """
     bits = path.bits
-    n2 = 2 * path.semilength
+    n2 = bits.bit_length()
     du = _valleys(bits, n2)
     best = 0
     while du:
@@ -157,7 +161,7 @@ def is_in_class(path: DyckPath, params: ClassParams) -> bool:
     # Bit p survives when a (DU)^(k-1) factor ends with the DU at p.  Every
     # valley of that factor sits where the D at p lands, at ordinate
     # 2 * popcount(bits >> p) - (n2 - p): one popcount per factor.
-    bits, n2 = path.bits, 2 * path.semilength
+    bits, n2 = path.bits, path.bits.bit_length()
     du = _valleys(bits, n2)
     runs = du
     for s in range(2, 2 * (params.k - 1), 2):

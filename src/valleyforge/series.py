@@ -27,21 +27,18 @@ from .paths import ClassParams, height_denominator
 
 
 class TruncatedSeries:
-    """Exact power series truncated at a fixed order: ``coeffs`` holds order+1
-    integers.  It does no arithmetic; ``_row_times`` multiplies lists."""
+    """Exact power series to a fixed order: its one slot, ``coeffs``, holds the
+    order+1 known coefficients as given.  No arithmetic; ``_row_times`` multiplies lists."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, order: int, coeffs=()):  # noqa: ANN001
-        cs = list(coeffs)[: order + 1]
-        cs += [0] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable[int]):
+        self.coeffs = tuple(coeffs)
 
     def coefficient(self, n: int) -> int:
         """Coefficient n, 0 for n < 0; past the order it is unknown, so refused."""
-        if n > self.order:
-            raise IndexError(f"coefficient {n} is past the order {self.order}")
+        if n >= len(self.coeffs):
+            raise IndexError(f"coefficient {n} is past the order {len(self.coeffs) - 1}")
         return self.coeffs[n] if n >= 0 else 0
 
     def to_json(self) -> list[str]:
@@ -50,7 +47,7 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(data: list[str]) -> "TruncatedSeries":
-        return TruncatedSeries(len(data) - 1, (int(c) for c in data))
+        return TruncatedSeries(int(c) for c in data)
 
 
 def build_S(h: int, k: int) -> list[int]:
@@ -155,7 +152,7 @@ def _solve(plan, h: int, depth: int, order: int) -> Iterator[list[int]]:
 
 def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
     """Unique power-series solution F_1..F_h of the system, to the given order."""
-    return [TruncatedSeries(order, row) for row in zip(*_columns(params, order))]
+    return [TruncatedSeries(row) for row in zip(*_columns(params, order))]
 
 
 def _row_times(row: dict[int, list[int]], vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -220,7 +217,7 @@ def _counts(params: ClassParams, columns: Iterable[Sequence[int]]) -> TruncatedS
     for col in columns:
         coeffs.append(sum(col) + sum(last))
         last.append(col[-1])
-    return TruncatedSeries(len(coeffs) - 1, coeffs)
+    return TruncatedSeries(coeffs)
 
 
 def counting_series(params: ClassParams, F: list[TruncatedSeries]) -> TruncatedSeries:
@@ -232,5 +229,10 @@ def f_series(params: ClassParams, order: int) -> TruncatedSeries:
     """Counting series of the class: coefficient n is the count at semilength n.
 
     The components are never held: working memory is the last k-1 columns.
+    No path of semilength <= order reaches order+1 or holds order+1 valleys
+    in a run, so the class is counted at (min(h, order+1), min(k, order+2)).
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    params = ClassParams(min(params.h, order + 1), min(params.k, order + 2))
     return _counts(params, _columns(params, order))

@@ -135,6 +135,19 @@ class TestSeries:
                            "--show-components", "--format", "json")
         assert (code, out) == (0, json.dumps(whole) + "\n")
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_denominator_built_only_for_components(self, capsys, monkeypatch, fmt):
+        """Without --show-components, S(h, k) is never built: at large h it costs more than the counts."""
+        argv = ["series", "--h", "9", "--k", "4", "--order", "12", "--format", fmt]
+        expected = run(capsys, *argv)
+
+        def refuse(h, k):
+            raise AssertionError("build_S called")
+
+        monkeypatch.setattr(series, "build_S", refuse)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0
+
     def test_components_have_no_csv_form(self, capsys):
         code, out, err = run(capsys, "series", "--h", "4", "--k", "3", "--order", "7",
                              "--show-components", "--format", "csv")
@@ -242,7 +255,7 @@ class TestVerify:
 class TestRoutes:
     @pytest.mark.parametrize("name", list(cli.ROUTES))
     def test_negative_nmax_raises(self, name):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0"):
             cli.ROUTES[name](ClassParams(4, 3), -1)
 
     @pytest.mark.parametrize("name", list(cli.ROUTES))

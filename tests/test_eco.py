@@ -36,10 +36,15 @@ SUPPORTED = [(h, k) for k in range(2, 7) for h in range(1, 8)]
 
 
 def walked_levels(params: ClassParams, n: int) -> list[list[int]]:
-    """The walk's blocks concatenated per depth, in walk order; checks every block's size."""
+    """The walk's blocks concatenated per depth, in walk order; checks every block's size.
+
+    Every path at depth m has exactly 2m bits, its first step being U: the
+    invariant ``DyckPath.semilength`` is derived from.
+    """
     out: list[list[int]] = [[] for _ in range(n + 1)]
     for m, block in walk(params, n):
         assert len(block) <= BLOCK * params.h
+        assert all(bits.bit_length() == 2 * m for bits in block)
         out[m].extend(block)
     return out
 
@@ -231,6 +236,15 @@ class TestRuleCounts:
             {"(1)": 1}, {"(h_0)": 1}, {"(0)": 1}, {}]
         assert rule_totals_upto(params, 5) == [1, 1, 1, 0, 0, 0]
 
+    @pytest.mark.parametrize("nmax", [0, 1, 3, 8, 20])
+    def test_clamped_class_gives_the_unclamped_counts(self, nmax):
+        """rule_totals_upto steps (min(h, nmax+1), min(k, nmax+2)); _rule_steps does not."""
+        for h in range(1, 61):
+            for k in range(2, 30):
+                p = ClassParams(h, k)
+                unclamped = [sum(v) for v in eco._rule_steps(p, nmax)]
+                assert rule_totals_upto(p, nmax) == unclamped, (h, k)
+
     @pytest.mark.parametrize("params", [H4K3, ClassParams(3, 2), ClassParams(6, 5),
                                         ClassParams(1, 4), ClassParams(2, 3)])
     def test_sweeps_match_per_n_counts(self, params):
@@ -279,7 +293,7 @@ def _assert_each_level_is_children_of_the_previous(params: ClassParams, n: int) 
     previous = None
     for m, level in enumerate(walked_levels(params, n)):
         if m:
-            kids = [c for bits in previous for c in children(DyckPath(bits, m - 1), params)]
+            kids = [c for bits in previous for c in children(DyckPath(bits), params)]
             assert all(c.semilength == m for c in kids)
             assert level == [c.bits for c in kids]
         previous = level
@@ -392,13 +406,13 @@ class TestTreeTotals:
 K_RANGES = [(k_lo, k_hi) for k_lo in range(2, 7) for k_hi in range(k_lo, 7)]
 
 
-def _least_cell(bits: int, m: int, h_lo: int, k_lo: int, k_hi: int) -> tuple[int, int]:
+def _least_cell(bits: int, h_lo: int, k_lo: int, k_hi: int) -> tuple[int, int]:
     """The least cell (h, k) of the chain whose class holds the path, read from its valleys.
 
     A path of height H whose longest run of valleys at H-1 is r lies in the
     cells (H, k) with k >= r+2 and in every cell with h > H.
     """
-    path = DyckPath(bits, m)
+    path = DyckPath(bits)
     top = height(path)
     if top < h_lo:
         return h_lo, k_lo
@@ -412,7 +426,7 @@ def _assert_blocks_hold_their_cells(h_lo, h_hi, k_lo, k_hi, n):
     for m, hm, km, block in eco._walk(h_lo, h_hi, k_lo, k_hi, n):
         assert h_lo <= hm <= h_hi and k_lo <= km <= k_hi
         for bits in block:
-            assert _least_cell(bits, m, h_lo, k_lo, k_hi) == (hm, km), (h_lo, h_hi, k_lo, k_hi, m, bits)
+            assert _least_cell(bits, h_lo, k_lo, k_hi) == (hm, km), (h_lo, h_hi, k_lo, k_hi, m, bits)
         levels[m].extend(block)
     whole = walked_levels(ClassParams(h_hi, k_hi), n)
     assert [sorted(level) for level in levels] == [sorted(level) for level in whole]
@@ -517,7 +531,7 @@ class _GrowthTree:
             i = bisect_right(ends, r)
             r -= ends[i - 1] if i else 0
             bits, p = kids[i], labels[i]
-        path = DyckPath(bits, n)
+        path = DyckPath(bits)
         assert is_in_class(path, self.params)
         assert label_of(path, self.params) == eco._label_text(p, h)
         return path

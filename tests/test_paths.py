@@ -1,7 +1,9 @@
+import copy
 import itertools
+import pickle
 import random
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,6 +98,15 @@ class TestParse:
         assert not hasattr(p, "__dict__")
         with pytest.raises(FrozenInstanceError):
             p.bits = 0
+        with pytest.raises(FrozenInstanceError):
+            p.semilength = 3
+        assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == p
+
+    def test_bits_is_the_only_field(self):
+        """The semilength and the word are derived from the bits, never stored."""
+        assert [f.name for f in fields(DyckPath)] == ["bits"]
+        assert (DyckPath(0).word, DyckPath(0).semilength) == ("", 0)
+        assert (DyckPath(0b1100).word, DyckPath(0b1100).semilength) == ("UUDD", 2)
 
 
 def _parse_reference(word):
@@ -115,16 +126,21 @@ def _parse_reference(word):
             raise BadSymbol(f"unexpected character {ch!r} at position {i}")
     if balance != 0:
         raise UnbalancedWord(f"{word.count('U')} U steps vs {word.count('D')} D steps")
-    return DyckPath(bits, len(word) // 2)
+    return DyckPath(bits)
 
 
 def _outcome(parse, word):
-    """(bits, semilength) of the parsed path, or the exception's type and message."""
+    """The bits of the parsed path, or the exception's type and message.
+
+    Both parsers' semilengths are derived from the bits, so each is checked
+    against the word itself, as is the word the path renders.
+    """
     try:
         p = parse(word)
     except (BadSymbol, NegativePrefix, UnbalancedWord) as exc:
         return type(exc), str(exc)
-    return p.bits, p.semilength
+    assert (p.semilength, p.word) == (len(word) // 2, word)
+    return p.bits
 
 
 class TestParseAgreesWithReference:
@@ -228,7 +244,7 @@ def _bounded_walk(rng: random.Random, n: int, h: int) -> DyckPath:
         up = o < h and o < left - 1 and (o == 0 or rng.random() < 0.5)
         bits = bits << 1 | up
         o += 1 if up else -1
-    return DyckPath(bits, n)
+    return DyckPath(bits)
 
 
 class TestMembershipAgreesWithValleyRuns:

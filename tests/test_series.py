@@ -1,7 +1,7 @@
 import pytest
 
 from valleyforge import series
-from valleyforge.eco import rule_totals_upto
+from valleyforge.eco import _rule_steps, rule_totals_upto
 from valleyforge.oracle import brute_counts_upto
 from valleyforge.paths import ClassParams, catalan
 from valleyforge.series import (
@@ -49,18 +49,23 @@ def _back_substitution(params, order):
 
 
 class TestTruncatedSeries:
-    def test_padding(self):
-        s = TruncatedSeries(4, [1, 2])
-        assert s.coeffs == (1, 2, 0, 0, 0)
+    def test_keeps_exactly_the_given_coefficients(self):
+        """No padding and no truncation: the order is the number given minus one."""
+        assert TruncatedSeries.__slots__ == ("coeffs",)
+        s = TruncatedSeries([1, 2])
+        assert s.coeffs == (1, 2)
+        assert TruncatedSeries(iter([1, 2, 0, 0])).coeffs == (1, 2, 0, 0)
+        with pytest.raises(IndexError, match="coefficient 2 is past the order 1"):
+            s.coefficient(2)
 
     def test_json_round_trip(self):
-        s = TruncatedSeries(2, [1, -2, 3])
+        s = TruncatedSeries([1, -2, 3])
         back = TruncatedSeries.from_json(s.to_json())
-        assert (back.order, back.coeffs) == (2, (1, -2, 3))
+        assert back.coeffs == (1, -2, 3)
 
     def test_coefficient_past_the_order_is_refused(self):
         """Past the order a coefficient is unknown, not zero."""
-        s = TruncatedSeries(2, [1, -2, 3])
+        s = TruncatedSeries([1, -2, 3])
         assert [s.coefficient(n) for n in range(-2, 3)] == [0, 0, 1, -2, 3]
         for n in (3, 10):
             with pytest.raises(IndexError, match=f"coefficient {n} is past the order 2"):
@@ -292,8 +297,20 @@ class TestFSeries:
         assert list(fs.coeffs) == brute_counts_upto(params, 12)
 
     def test_matches_the_rule_deep(self):
+        """Both count routes clamp h to 301 here, so the h = 2000 sweeps are compared too."""
         params = ClassParams(2000, 3)
-        assert list(f_series(params, 300).coeffs) == rule_totals_upto(params, 300)
+        unclamped = list(series._counts(params, series._columns(params, 300)).coeffs)
+        assert unclamped == [sum(v) for v in _rule_steps(params, 300)]
+        assert list(f_series(params, 300).coeffs) == rule_totals_upto(params, 300) == unclamped
+
+    @pytest.mark.parametrize("order", [0, 1, 3, 8, 20])
+    def test_clamped_class_gives_the_unclamped_counts(self, order):
+        """f_series counts at (min(h, order+1), min(k, order+2)); the full solve does not."""
+        for h in range(1, 61):
+            for k in range(2, 30):
+                p = ClassParams(h, k)
+                unclamped = series._counts(p, series._columns(p, order)).coeffs
+                assert f_series(p, order).coeffs == unclamped, (h, k)
 
     def test_k2_prefactor_vanishes(self):
         params = ClassParams(5, 2)
