@@ -111,6 +111,8 @@ def _disagreement(counts: dict[str, int]) -> str:
 
 def _cmd_count(args) -> int:
     params = ClassParams(args.h, args.k)
+    if args.n < 0:  # before any route, so each names the count's own option
+        raise ValueError("n must be >= 0")
     methods = ROUTES if args.cross_check else [args.method]
     if "eco" in methods:
         oracle.check_cap(args.n, args.cap)

@@ -4,7 +4,9 @@ A Dyck path is stored as a packed bit sequence: U = 1, D = 0, first step in
 the most significant position; the semilength is half the bit length.
 Modules pass these bit patterns; the uppercase 'U'/'D' word, with no
 separators, is the form the CLI prints and ``parse_path`` reads.  The
-predicates (height, valley runs, class membership) never render the word.
+predicates (height, valley runs, class membership) never render the word;
+class membership of a path of height exactly h scans its valley runs at
+h-1 with ``max_valley_run_at_height``.
 """
 
 from __future__ import annotations
@@ -118,15 +120,6 @@ def height(path: DyckPath) -> int:
     return _top(path.bits, path.bits.bit_length())
 
 
-def _valleys(bits: int, n2: int) -> int:
-    """DU mask of a path of ``n2`` steps: bit p set when step p is D and the next is U.
-
-    Steps are numbered by bit position, as in ``DyckPath.bits``.  A (DU)^m
-    factor is a run of m set bits at stride 2.
-    """
-    return ~bits & (bits << 1) & ((1 << n2) - 1)
-
-
 def max_valley_run_at_height(path: DyckPath, y: int) -> int:
     """Longest run of adjacent DU factors whose D steps all end at ordinate y.
 
@@ -137,7 +130,9 @@ def max_valley_run_at_height(path: DyckPath, y: int) -> int:
     """
     bits = path.bits
     n2 = bits.bit_length()
-    du = _valleys(bits, n2)
+    # Bit p is set when step p is D and the next step is U (steps numbered by
+    # bit position): a (DU)^m factor is a run of m set bits at stride 2.
+    du = ~bits & (bits << 1) & ((1 << n2) - 1)
     best = 0
     while du:
         p = du.bit_length() - 1  # the run's first D
@@ -154,25 +149,11 @@ def max_valley_run_at_height(path: DyckPath, y: int) -> int:
 def is_in_class(path: DyckPath, params: ClassParams) -> bool:
     """True iff the path has height <= h and valley-run at h-1 <= k-2."""
     # A valley at h-1 is entered by a D from h, so only a path of height h can
-    # hold a forbidden run.
+    # hold a forbidden run: only such a path scans its valley runs at h-1.
     top = height(path)
     if top != params.h:
         return top < params.h
-    # Bit p survives when a (DU)^(k-1) factor ends with the DU at p.  Every
-    # valley of that factor sits where the D at p lands, at ordinate
-    # 2 * popcount(bits >> p) - (n2 - p): one popcount per factor.
-    bits, n2 = path.bits, path.bits.bit_length()
-    du = _valleys(bits, n2)
-    runs = du
-    for s in range(2, 2 * (params.k - 1), 2):
-        runs &= du >> s
-    target = params.h - 1 + n2  # ordinate h-1, with n2 - p moved to the left side
-    while runs:
-        p = runs.bit_length() - 1
-        if 2 * (bits >> p).bit_count() + p == target:
-            return False
-        runs ^= 1 << p
-    return True
+    return max_valley_run_at_height(path, params.h - 1) <= params.k - 2
 
 
 def catalan(n: int) -> int:
@@ -200,4 +181,8 @@ def height_denominator(h: int) -> list[int]:
     three-term recurrence q_h = q_{h-1} - x q_{h-2} takes below h = 0
     (Flajolet 1980): q_{-1} = 1 and q_{-2} = 0, the empty list.
     """
-    return [(-1) ** j * comb(h + 1 - j, j) for j in range((h + 1) // 2 + 1)]
+    top = (h + 1) // 2
+    coeffs = [1] * (top + 1)
+    for j in range(top):  # the term ratio c_{j+1} / c_j, from c_0 = 1
+        coeffs[j + 1] = -coeffs[j] * (h + 1 - 2 * j) * (h - 2 * j) // ((j + 1) * (h + 1 - j))
+    return coeffs

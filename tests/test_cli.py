@@ -593,3 +593,17 @@ def test_negative_size_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+COUNT_NEGATIVE_N = ("count", "--h", "4", "--k", "3", "--n", "-2", "--method")
+
+
+@pytest.mark.parametrize("argv,option", [
+    *[((*COUNT_NEGATIVE_N, m), "n") for m in ("eco", "rule", "series", "brute")],
+    ((*COUNT_NEGATIVE_N, "series", "--cross-check"), "n"),
+    (("series", "--h", "4", "--k", "3", "--order", "-1"), "order"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_negative_size_names_its_option(capsys, argv, option):
+    """count refuses n < 0 before any route runs, so the series route cannot
+    name --order, an option count does not have."""
+    assert run(capsys, *argv) == (2, "", f"error: {option} must be >= 0\n")

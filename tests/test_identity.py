@@ -279,6 +279,14 @@ def test_height_denominator_pascal_rule():
         older, previous = previous, step
 
 
+def test_height_denominator_binomial_sum():
+    """The term ratio builds the binomial sum sum_j (-1)^j binom(h+1-j, j) x^j,
+    down to q_{-3} = q_{-2} = [] and q_{-1} = [1]."""
+    for h in range(-3, 600):
+        expected = [(-1) ** j * comb(h + 1 - j, j) for j in range((h + 1) // 2 + 1)]
+        assert height_denominator(h) == expected, h
+
+
 def test_catalan_times_q_h_is_q_h_minus_1():
     """C(x) q_h(x) = q_{h-1}(x) mod x^{h+1}: paths of height <= h have generating
     function q_{h-1}/q_h, which agrees with C(x) through x^h.  The recurrence

@@ -107,6 +107,7 @@ class TestParse:
         assert [f.name for f in fields(DyckPath)] == ["bits"]
         assert (DyckPath(0).word, DyckPath(0).semilength) == ("", 0)
         assert (DyckPath(0b1100).word, DyckPath(0b1100).semilength) == ("UUDD", 2)
+        assert all(str(p) == p.word for p in (EMPTY_PATH, DyckPath(0b1100), DyckPath(0b110100)))
 
 
 def _parse_reference(word):
@@ -232,11 +233,6 @@ class TestClassMembership:
         assert is_in_class(parse_path(word), ClassParams(h, k)) == class_reference(word, h, k)
 
 
-def _membership_by_runs(p: DyckPath, h: int, k: int) -> bool:
-    """Class membership from the height and the longest valley run at h-1."""
-    return height(p) <= h and max_valley_run_at_height(p, h - 1) <= k - 2
-
-
 def _bounded_walk(rng: random.Random, n: int, h: int) -> DyckPath:
     """A seeded Dyck path of semilength n and height <= h, each free step a coin toss."""
     bits = o = 0
@@ -248,14 +244,15 @@ def _bounded_walk(rng: random.Random, n: int, h: int) -> DyckPath:
 
 
 class TestMembershipAgreesWithValleyRuns:
-    """is_in_class places each (DU)^(k-1) factor; max_valley_run_at_height places every run."""
+    """is_in_class against the word reference ``class_reference``, which reads the
+    ordinates and the (DU)+ factors off the step string."""
 
     @pytest.mark.parametrize("n", range(11))
     def test_every_dyck_path(self, n):
         for p in enumerate_dyck(n):
             for h in range(1, 7):
                 for k in range(2, 6):
-                    assert is_in_class(p, ClassParams(h, k)) == _membership_by_runs(p, h, k)
+                    assert is_in_class(p, ClassParams(h, k)) == class_reference(p.word, h, k)
 
     @pytest.mark.parametrize("h,k,n", [(7, 5, 300), (3, 9, 500)])
     def test_seeded_long_paths(self, h, k, n):
@@ -264,12 +261,12 @@ class TestMembershipAgreesWithValleyRuns:
         for _ in range(200):
             p = _bounded_walk(rng, n, h)
             member = is_in_class(p, ClassParams(h, k))
-            assert member == _membership_by_runs(p, h, k)
+            assert member == class_reference(p.word, h, k)
             seen.add(member)
         assert seen == {True, False}  # both answers are checked
 
     def test_every_height_band(self):
-        """Paths below h skip the valley mask, paths above h are out: all three bands."""
+        """Paths below h skip the valley-run scan, paths above h are out: all three bands."""
         bands = set()
         for n in range(10):
             for p in enumerate_dyck(n):
@@ -277,7 +274,7 @@ class TestMembershipAgreesWithValleyRuns:
                 for h in range(1, 12):
                     bands.add((top > h) - (top < h))
                     for k in range(2, 7):
-                        assert is_in_class(p, ClassParams(h, k)) == _membership_by_runs(p, h, k)
+                        assert is_in_class(p, ClassParams(h, k)) == class_reference(p.word, h, k)
         assert bands == {-1, 0, 1}  # paths below, at and above h are all checked
 
 

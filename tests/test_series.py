@@ -259,10 +259,14 @@ class TestClosedForm:
     def test_counting_numerator(self, h):
         """The N_i taken through ``_counts`` as polynomials give the counting
         numerator (-1)^h S(h-1, k), or -(1 - x^k) at h = 1, so with the test
-        above f = (-1)^h S(h-1, k) / S(h, k) at every order."""
+        above f = (-1)^h S(h-1, k) / S(h, k) at every order.  N_0 and N_{h+1}
+        are refused."""
         for k in range(2, 16):
             params = ClassParams(h, k)
             N = [closed_form_numerator(params, i) for i in range(1, h + 1)]
+            for i in (0, h + 1):
+                with pytest.raises(ValueError, match=rf"i must be in 1\.\.{h}$"):
+                    closed_form_numerator(params, i)
             top = k - 1 if h == 1 else k - 2
             width = max(map(len, N)) + top
             P = list(series._counts(params, zip(*(_mod(n, width - 1) for n in N))).coeffs)
