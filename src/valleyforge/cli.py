@@ -110,6 +110,8 @@ def _disagreement(counts: dict[str, int]) -> str:
 
 
 def _cmd_count(args) -> int:
+    if not (args.method or args.cross_check):
+        raise ValueError("count needs --method or --cross-check")
     params = ClassParams(args.h, args.k)
     if args.n < 0:  # before any route, so each names the count's own option
         raise ValueError("n must be >= 0")
@@ -117,12 +119,14 @@ def _cmd_count(args) -> int:
     if "eco" in methods:
         oracle.check_cap(args.n, args.cap)
     counts = {m: ROUTES[m](params, args.n)[args.n] for m in methods}
-    if len(set(counts.values())) != 1:
+    values = set(counts.values())
+    if len(values) != 1:
         print(f"disagreement at h={args.h} k={args.k} n={args.n}: {_disagreement(counts)}",
               file=sys.stderr)
         return 1
-    value = counts[args.method]
-    record = {"h": args.h, "k": args.k, "n": args.n, "method": args.method, "count": str(value)}
+    (value,) = values
+    record = {"h": args.h, "k": args.k, "n": args.n, "method": args.method or "cross-check",
+              "count": str(value)}
     if args.format == "json":
         print(json.dumps(record))
     else:
@@ -246,8 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=["eco", "brute", "rule", "series"], required=True)
-    p.add_argument("--cross-check", action="store_true")
+    p.add_argument("--method", choices=["eco", "brute", "rule", "series"],
+                   help="the route to count by; optional with --cross-check")
+    p.add_argument("--cross-check", action="store_true", help="count by all four routes and compare")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("generate", parents=[common, listing], help="list all paths of one size")

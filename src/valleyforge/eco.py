@@ -7,10 +7,10 @@ first, growing at most BLOCK parents at a time, so counting the tree
 (:func:`tree_totals_upto`) holds a few blocks per depth rather than whole
 levels.  Every site lies on the initial up-run, so a child is UU followed
 by its parent with one step turned into a D: one bit flip.  A block grows
-in one comprehension: its up-runs are read together, and a parent's
-valleys are read (by :func:`_label`) only when its up-run is full.  The
-count builds every path up to depth n-1 and counts depth n from their
-labels, so its time grows with the paths above the last level.  A path of
+in one comprehension: an up-run t < h gives t+1 children, a full run h,
+and h-1 when the path begins with the saturated head U^h (DU)^(k-2).  The
+count builds every path up to depth n-1 and sums their child counts for
+depth n, so its time grows with the paths above the last level.  A path of
 the class (h, k) lies in (h+1, k') for every k', and a larger k is a
 weaker restriction, so one walk of the (h_hi, k_hi) tree counts a whole
 grid of cells (:func:`grid_totals_upto`).  The cells are taken on one
@@ -85,16 +85,25 @@ def label_of(path: DyckPath, params: ClassParams) -> str:
     return _label_text(_label(path.bits, path.bits.bit_length(), params.h, params.k), params.h)
 
 
+def _saturated_head(h: int, k: int) -> int:
+    """U^h (DU)^(k-2) as bits: the head of the saturated paths, whose label wraps to (h-1)."""
+    j = k - 2
+    return ((1 << h) - 1) << 2 * j | (4 ** j - 1) // 3  # U^h, then j times DU = 0b01
+
+
 def _child_counts(block: list[int], n2: int, h: int, k: int) -> list[int]:
     """Child counts of a block of class paths of 2n steps: c = min(q+1, h) at chain position q.
 
-    One comprehension reads every initial up-run t of the block; a run
-    t < h gives t+1 children.  Only a full run (t = h) needs the valleys
-    after it, so only there is :func:`_label` called.
+    One comprehension reads every initial up-run t of the block.  A run
+    t < h gives t+1 children, a full run (t = h) gives h, and h-1 when the
+    path begins with the saturated head U^h (DU)^(k-2): one shift-compare
+    per full-run parent.
     """
     full = (1 << n2) - 1
+    head = _saturated_head(h, k)
+    shift = max(n2 - head.bit_length(), 0)  # a head longer than the paths matches none
     return [t + 1 if (t := n2 - (bits ^ full).bit_length()) < h
-            else min(_label(bits, n2, h, k) + 1, h)
+            else h - (bits >> shift == head)
             for bits in block]
 
 
@@ -169,16 +178,17 @@ def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
     paths, U^hm (DU)^(km-2) ..., use site hm-1, whose child has km-1 valleys
     at hm-1: it moves to the next cell.  Below h_hi, paths with a full
     up-run, U^hm D ..., use site hm, whose child has height hm+1: it moves
-    to (hm+1, k_lo).  Empty lists are left out.
+    to (hm+1, k_lo).  Saturated paths are sought only among the full-run
+    ones (at km = 2 the saturated head is U^hm).  Empty lists are left out.
     """
-    heads = []
-    if hm < h_hi or km < k_hi:
-        j = km - 2
-        saturated = ((1 << hm) - 1) << 2 * j | (4 ** j - 1) // 3  # U^hm, then j times DU = 0b01
-        heads.append(((hm, km + 1) if km < k_hi else (hm + 1, k_lo), saturated, hm - 1))
+    if hm == h_hi and km == k_hi:
+        return []
+    full = _with_head(parents, n2, (1 << hm + 1) - 2)  # U^hm D
+    saturated = _with_head(full, n2, _saturated_head(hm, km))
+    heads = [((hm, km + 1) if km < k_hi else (hm + 1, k_lo), saturated, hm - 1)]
     if hm < h_hi:
-        heads.append(((hm + 1, k_lo), (1 << hm + 1) - 2, hm))  # U^hm D
-    return [(*cell, paths, site) for cell, head, site in heads if (paths := _with_head(parents, n2, head))]
+        heads.append(((hm + 1, k_lo), full, hm))
+    return [(*cell, paths, site) for cell, paths, site in heads if paths]
 
 
 def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
@@ -224,7 +234,8 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     of a cell counts the paths at depth m of the blocks up to it: one
     running sum over the chain.  The walk builds the tree up to depth
     nmax-1.  Depth nmax is not built: a block's paths have, summed, the
-    child counts of :func:`_child_counts` in the (hm, km) tree, and one
+    child counts of :func:`_child_counts` in the (hm, km) tree (t+1 for an
+    up-run t < hm, hm for a full run, hm-1 on the saturated head), and one
     child more per path that :func:`_raised` names, from the cell it names
     on.  Those paths are only counted.
     """

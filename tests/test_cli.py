@@ -82,6 +82,25 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"h": 4, "k": 3, "n": 5, "method": "brute", "count": "41"}
 
+    def test_cross_check_needs_no_method(self, capsys):
+        argv = ("count", "--h", "4", "--k", "3", "--n", "6")
+        assert run(capsys, *argv, "--cross-check") == (0, "121\n", "")
+        assert run(capsys, *argv, "--cross-check") == run(capsys, *argv, "--method", "series",
+                                                          "--cross-check")
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("json", '{"h": 4, "k": 3, "n": 6, "method": "cross-check", "count": "121"}\n'),
+        ("csv", "h,k,n,method,count\r\n4,3,6,cross-check,121\r\n"),
+    ], ids=["json", "csv"])
+    def test_cross_check_record_without_method(self, capsys, fmt, expected):
+        code, out, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "6", "--cross-check",
+                             "--format", fmt)
+        assert (code, out, err) == (0, expected, "")
+
+    def test_needs_method_or_cross_check(self, capsys):
+        code, out, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "6")
+        assert (code, out, err) == (2, "", "error: count needs --method or --cross-check\n")
+
 
 class TestGenerate:
     def test_n2(self, capsys):

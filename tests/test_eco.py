@@ -370,8 +370,55 @@ class TestBlockGrowth:
             assert eco._grow(block, 2 * m, h, k) == kids, (m, block[:3])
 
 
+class TestCountsWithoutLabels:
+    """The walk and the counts read child counts from the bits, never a label."""
+
+    def test_no_label_is_read(self, monkeypatch):
+        def no_label(*args):
+            raise AssertionError("_label called")
+
+        monkeypatch.setattr(eco, "_label", no_label)
+        grid = grid_totals_upto(4, 7, 3, 5, 12)
+        for h in range(4, 8):
+            for k in range(3, 6):
+                assert grid[h - 4][k - 3] == brute_counts_upto(ClassParams(h, k), 12), (h, k)
+        params = ClassParams(7, 5)
+        assert tree_totals_upto(params, 13) == brute_counts_upto(params, 13)
+        assert len(generate(params, 10)) == brute_counts_upto(params, 10)[10]
+        with pytest.raises(AssertionError, match="_label called"):
+            label_of(parse_path("UD"), params)
+
+
+def _raised_by_words(parents: list[int], hm: int, km: int, h_hi: int, k_lo: int,
+                     k_hi: int) -> list[tuple[int, int, list[int], int]]:
+    """Reference for ``eco._raised``: every parent's word is read for both heads, saturated first."""
+    words = [DyckPath(bits).word for bits in parents]
+    heads = []
+    if hm < h_hi or km < k_hi:
+        heads.append(((hm, km + 1) if km < k_hi else (hm + 1, k_lo), "U" * hm + "DU" * (km - 2), hm - 1))
+    if hm < h_hi:
+        heads.append(((hm + 1, k_lo), "U" * hm + "D", hm))
+    raised = []
+    for cell, head, site in heads:
+        if paths := [bits for bits, word in zip(parents, words) if word.startswith(head)]:
+            raised.append((*cell, paths, site))
+    return raised
+
+
+class TestRaised:
+    """_raised seeks the saturated paths among the full-run ones; the reference scans every parent."""
+
+    @pytest.mark.parametrize("h_lo", [1, 2, 4])
+    def test_every_walked_block(self, h_lo):
+        for h_hi in range(h_lo, h_lo + 3):
+            for k_hi in range(2, 7):
+                for m, hm, km, block in eco._walk(h_lo, h_hi, 2, k_hi, 10):
+                    got = eco._raised(block, 2 * m, hm, km, h_hi, 2, k_hi)
+                    assert got == _raised_by_words(block, hm, km, h_hi, 2, k_hi), (h_hi, k_hi, m, hm, km)
+
+
 class TestTreeTotals:
-    """tree_totals_upto counts the last depth from its parents' labels, without building it."""
+    """tree_totals_upto counts the last depth from its parents' child counts, without building it."""
 
     @pytest.mark.parametrize("h,k,nmax", [(h, k, 9) for h, k in SUPPORTED] + [(7, 5, 12)])
     def test_leaf_count_equals_the_built_level(self, h, k, nmax):
@@ -482,6 +529,13 @@ class TestGrid:
     def test_grids_match_dp(self, h_lo):
         for h_hi in range(h_lo + 1, 9):
             _assert_grids_match_dp(h_lo, h_hi, [0, 1, 2, 9])
+
+    def test_deep_grid_from_h1_k2_matches_dp(self):
+        # h = 1 and k = 2, and at small depths saturated heads longer than the paths
+        grid = grid_totals_upto(1, 7, 2, 6, 13)
+        for h in range(1, 8):
+            for k in range(2, 7):
+                assert grid[h - 1][k - 2] == brute_counts_upto(ClassParams(h, k), 13), (h, k)
 
     def test_acceptance_grid_builds_the_largest_tree_once(self):
         # the paths of the (7, 5) tree up to depth 11, where a walk per h built 268,257
