@@ -44,11 +44,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     An argparse type, so a range is read under the interpreter's limit on
     integer digits, like every other integer on the command line.
     """
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid range {text!r}: expected N or LO..HI") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
@@ -178,8 +178,6 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    if not 1 <= args.h_min <= args.h_max:
-        raise ValleyforgeError("need 1 <= h-min <= h-max")
     failed = []
     decimal: dict[int, str] = {}  # n -> C_n in decimal; every h that covers n repeats it
 

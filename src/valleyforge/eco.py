@@ -34,7 +34,7 @@ suffix sums.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import add
 from typing import Iterator
 
@@ -125,15 +125,9 @@ def _grow(block: list[int], n2: int, h: int, k: int) -> list[int]:
 
 
 def _with_head(block: list[int], n2: int, head: int) -> list[int]:
-    """The paths of a block of 2n steps that begin with the steps of ``head``.
-
-    ``head`` is read as a path of ``head.bit_length()`` steps, so it begins
-    with U.  The heads are compared without a Python-level step per path.
-    """
-    shift = n2 - head.bit_length()
-    if shift < 0:
-        return []
-    return list(compress(block, map(head.__eq__, map(shift.__rrshift__, block))))
+    """The paths of a block of 2n steps whose first ``head.bit_length()`` steps are ``head``."""
+    shift = max(n2 - head.bit_length(), 0)  # a head longer than the paths matches none
+    return [bits for bits in block if bits >> shift == head]
 
 
 def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
@@ -171,15 +165,16 @@ def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
 
 
 def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
-            k_hi: int) -> list[tuple[int, int, list[int], int]]:
-    """Paths of a block whose child at ``site`` lies only in a later cell, as ``(h, k, paths, site)``.
+            k_hi: int) -> list[tuple[int, int, list[int]]]:
+    """Children of a block that lie only in a later cell, as ``(h, k, children)``.
 
     (hm, km) is the block's least cell on :func:`_walk`'s chain.  Saturated
-    paths, U^hm (DU)^(km-2) ..., use site hm-1, whose child has km-1 valleys
-    at hm-1: it moves to the next cell.  Below h_hi, paths with a full
-    up-run, U^hm D ..., use site hm, whose child has height hm+1: it moves
-    to (hm+1, k_lo).  Saturated paths are sought only among the full-run
-    ones (at km = 2 the saturated head is U^hm).  Empty lists are left out.
+    paths, U^hm (DU)^(km-2) ..., have a site hm-1 child with km-1 valleys at
+    hm-1: it moves to the next cell.  Below h_hi, paths with a full up-run,
+    U^hm D ..., have a site hm child of height hm+1: it moves to (hm+1, k_lo).
+    Both are the bit flip of :func:`_grow`.  Saturated paths are sought only
+    among the full-run ones (at km = 2 the saturated head is U^hm).  Empty
+    lists are left out.
     """
     if hm == h_hi and km == k_hi:
         return []
@@ -188,7 +183,9 @@ def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
     heads = [((hm, km + 1) if km < k_hi else (hm + 1, k_lo), saturated, hm - 1)]
     if hm < h_hi:
         heads.append(((hm + 1, k_lo), full, hm))
-    return [(*cell, paths, site) for cell, paths, site in heads if paths]
+    base = 0b11 << n2
+    return [(*cell, [(base | bits) ^ 1 << n2 - site for bits in paths])
+            for cell, paths, site in heads if paths]
 
 
 def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
@@ -202,9 +199,9 @@ def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
     cell of that set, the same for every path of the block.  Removing the
     first peak depends on neither h nor k, so a block's children in the
     (hm, km) tree (:func:`_grow`) keep (hm, km).  Its only other children
-    are raised: the paths and site :func:`_raised` names for each later
-    cell, grown by the same bit flip.  On a chain of one cell, as for
-    :func:`walk`, nothing is raised, and the walk order is the tree's.
+    are raised: :func:`_raised` returns them with the later cell of each.
+    On a chain of one cell, as for :func:`walk`, nothing is raised, and
+    the walk order is the tree's.
     """
     root = [EMPTY_PATH.bits]
     yield 0, h_lo, k_lo, root
@@ -215,12 +212,8 @@ def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
         if start + BLOCK < len(block):
             stack.append((m, hm, km, block, start + BLOCK))
         n2, parents = 2 * m, block[start:start + BLOCK]
-        grown = [(hm, km, _grow(parents, n2, hm, km))]
-        base = 0b11 << n2
-        for g_h, g_k, paths, site in _raised(parents, n2, hm, km, h_hi, k_lo, k_hi):
-            flip = 1 << n2 - site
-            grown.append((g_h, g_k, [(base | bits) ^ flip for bits in paths]))
-        for g_h, g_k, kids in grown:
+        for g_h, g_k, kids in [(hm, km, _grow(parents, n2, hm, km)),
+                               *_raised(parents, n2, hm, km, h_hi, k_lo, k_hi)]:
             yield m + 1, g_h, g_k, kids
             if m + 1 < n:
                 stack.append((m + 1, g_h, g_k, kids, 0))
@@ -232,12 +225,11 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     Every cell's tree is the part of the (h_hi, k_hi) tree whose blocks have
     a least cell (hm, km) no later on the chain of :func:`_walk`, so depth m
     of a cell counts the paths at depth m of the blocks up to it: one
-    running sum over the chain.  The walk builds the tree up to depth
-    nmax-1.  Depth nmax is not built: a block's paths have, summed, the
-    child counts of :func:`_child_counts` in the (hm, km) tree (t+1 for an
-    up-run t < hm, hm for a full run, hm-1 on the saturated head), and one
-    child more per path that :func:`_raised` names, from the cell it names
-    on.  Those paths are only counted.
+    running sum over the chain.  The walk stops at depth nmax-1, and depth
+    nmax is counted: a block's paths have, summed, the child counts of
+    :func:`_child_counts` in the (hm, km) tree (t+1 for an up-run t < hm, hm
+    for a full run, hm-1 on the saturated head), and the children
+    :func:`_raised` returns count from the cell it names on.
     """
     ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
     if h_hi < h_lo:
@@ -258,8 +250,8 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
         if m == last:
             n2 = 2 * m
             rows[c][nmax] += sum(_child_counts(block, n2, hm, km))
-            for h, k, paths, _ in _raised(block, n2, hm, km, h_hi, k_lo, k_hi):
-                rows[(h - h_lo) * width + k - k_lo][nmax] += len(paths)
+            for h, k, kids in _raised(block, n2, hm, km, h_hi, k_lo, k_hi):
+                rows[(h - h_lo) * width + k - k_lo][nmax] += len(kids)
     cells = list(accumulate(rows, lambda acc, row: list(map(add, acc, row))))
     return [cells[i:i + width] for i in range(0, len(cells), width)]
 

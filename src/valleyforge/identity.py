@@ -65,6 +65,8 @@ def catalan_recurrence_rows(h_min: int, h_max: int) -> Iterator[tuple[int, int, 
     C q_h = q_{h-1} (mod x^{h+1}) is what the rows check, never how they are
     built.
     """
+    if not 1 <= h_min <= h_max:
+        raise ValueError("need 1 <= h-min <= h-max")
     C = catalan_upto(h_max - 1)
     older, row = C, C
     for h in range(1, h_max + 1):

@@ -190,8 +190,9 @@ class TestIdentity:
 
     def test_below_range_exit_2(self, capsys):
         for bounds in (("--h-min", "0", "--h-max", "4"), ("--h-min", "5", "--h-max", "4")):
-            code, out, err = run(capsys, "identity", *bounds)
-            assert (code, out, err) == (2, "", "error: need 1 <= h-min <= h-max\n"), bounds
+            for fmt in ("plain", "json", "csv"):
+                code, out, err = run(capsys, "identity", *bounds, "--format", fmt)
+                assert (code, out, err) == (2, "", "error: need 1 <= h-min <= h-max\n"), (bounds, fmt)
 
     def test_h_from_1(self, capsys):
         code, out, err = run(capsys, "identity", "--h-min", "1", "--h-max", "3")
@@ -413,6 +414,15 @@ class TestUsageErrors:
             main(["verify", "--h", "7..4", "--k", "3", "--n-max", "3"])
         assert exc.value.code == 2
         assert "argument --h: empty range '7..4'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["4..", "x", "4..7..9"])
+    def test_malformed_range_names_the_accepted_forms(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--h", text, "--k", "3", "--n-max", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --h: invalid range '{text}': expected N or LO..HI" in err
+        assert "_parse_range" not in err
 
     @pytest.mark.parametrize("argv", [
         ("series", "--h", "4", "--k", "3", "--order", "7", "--cap", "5"),

@@ -390,8 +390,9 @@ class TestCountsWithoutLabels:
 
 
 def _raised_by_words(parents: list[int], hm: int, km: int, h_hi: int, k_lo: int,
-                     k_hi: int) -> list[tuple[int, int, list[int], int]]:
-    """Reference for ``eco._raised``: every parent's word is read for both heads, saturated first."""
+                     k_hi: int) -> list[tuple[int, int, list[int]]]:
+    """Reference for ``eco._raised``: every parent's word is read for both heads, saturated first,
+    and a UD is inserted in the words that begin with one, before step ``site``."""
     words = [DyckPath(bits).word for bits in parents]
     heads = []
     if hm < h_hi or km < k_hi:
@@ -400,8 +401,9 @@ def _raised_by_words(parents: list[int], hm: int, km: int, h_hi: int, k_lo: int,
         heads.append(((hm + 1, k_lo), "U" * hm + "D", hm))
     raised = []
     for cell, head, site in heads:
-        if paths := [bits for bits, word in zip(parents, words) if word.startswith(head)]:
-            raised.append((*cell, paths, site))
+        if kids := [parse_path(word[:site] + "UD" + word[site:]).bits
+                    for word in words if word.startswith(head)]:
+            raised.append((*cell, kids))
     return raised
 
 
@@ -415,6 +417,84 @@ class TestRaised:
                 for m, hm, km, block in eco._walk(h_lo, h_hi, 2, k_hi, 10):
                     got = eco._raised(block, 2 * m, hm, km, h_hi, 2, k_hi)
                     assert got == _raised_by_words(block, hm, km, h_hi, 2, k_hi), (h_hi, k_hi, m, hm, km)
+
+
+def _class_windows(params: ClassParams) -> dict[int, list[int]]:
+    """The window paths of a cell, as bits keyed by their number of steps.
+
+    W = h + 2k - 1.  Every class path shorter than W steps, and every word of
+    W steps with heights in [0, h] closed by D's that lies in the class.  A
+    D-completion adds no valley, so the words of W steps that begin a class
+    path are exactly the first W steps of these closed words.
+    """
+    h, w = params.h, params.h + 2 * params.k - 1
+    ends = [[0]] + [[] for _ in range(h)]  # ends[y]: the words of the current length ending at y
+    paths = [0]
+    for length in range(1, w + 1):
+        ends = [([bits << 1 | 1 for bits in ends[y - 1]] if y else [])
+                + ([bits << 1 for bits in ends[y + 1]] if y < h else []) for y in range(h + 1)]
+        if length < w:
+            paths += ends[0]
+    paths += [bits << y for y, words in enumerate(ends) for bits in words]
+    windows: dict[int, list[int]] = {}
+    for bits in paths:
+        if is_in_class(DyckPath(bits), params):
+            windows.setdefault(bits.bit_length(), []).append(bits)
+    return windows
+
+
+def _admitted(bits: int, params: ClassParams) -> list[int]:
+    """The paths with a UD inserted at a site s <= t of the up-run t of ``bits``, by s, that
+    ``is_in_class`` admits: the class paths whose leftmost UD removed leaves ``bits``."""
+    n2 = bits.bit_length()
+    t = next((s for s in range(n2) if not bits >> n2 - 1 - s & 1), n2)
+    inserted = ((bits >> n2 - s << 2 | 0b10) << n2 - s | bits & (1 << n2 - s) - 1 for s in range(t + 1))
+    return [q for q in inserted if is_in_class(DyckPath(q), params)]
+
+
+class TestWindowCertificate:
+    """ECO's children equal the class's at every n, decided on the first W = h + 2k - 1 steps.
+
+    The child count reads the up-run t <= h and the saturated head U^h (DU)^(k-2),
+    h + 2k - 4 steps.  A UD inserted in the up-run changes the path only there
+    and can join only the valleys right after a full run, so the same head
+    decides whether the result lies in the class.  W is three steps more, a
+    margin against a count that reads past the head.  A class path and its
+    window thus have the same children, and the windows of a cell cover every
+    n.  ``is_in_class`` alone is the judge.
+    """
+
+    @pytest.mark.parametrize("h,k", [(h, k) for k in range(2, 10) for h in range(1, 20 - 2 * k)])
+    def test_every_cell_with_w_at_most_18(self, h, k):
+        params = ClassParams(h, k)
+        windows = _class_windows(params)
+        for n2, block in windows.items():
+            assert eco._grow(block, n2, h, k) == [q for bits in block for q in _admitted(bits, params)], n2
+        # The judge refuses a child for its valleys: U^h (DU)^(k-2) D^h has h-1 of its h+1 sites.
+        saturated = int("1" * h + "01" * (k - 2), 2) << h
+        assert saturated in windows[2 * (h + k - 2)]
+        assert len(_admitted(saturated, params)) == h - 1
+
+    @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi", [(1, 3, 2, 4), (2, 5, 2, 3), (4, 7, 3, 5)])
+    def test_raised_children_start_at_the_cell_named(self, h_lo, h_hi, k_lo, k_hi):
+        """Each raised child lies in its cell and not in the chain cell before it; with the
+        children kept in the block's cell, they are the (h_hi, k_hi) tree's."""
+        chain = [ClassParams(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
+        raised_to = Counter()
+        for n2, block in _class_windows(chain[-1]).items():
+            for bits in block:
+                least = next(p for p in chain if is_in_class(DyckPath(bits), p))
+                raised = eco._raised([bits], n2, least.h, least.k, h_hi, k_lo, k_hi)
+                for h, k, kids in raised:
+                    i = chain.index(ClassParams(h, k))
+                    assert i > chain.index(least), (bits, h, k)
+                    for q in kids:
+                        assert is_in_class(DyckPath(q), chain[i]), (bits, q, h, k)
+                        assert not is_in_class(DyckPath(q), chain[i - 1]), (bits, q, h, k)
+                    raised_to[h, k] += len(kids)
+                grown = eco._grow([bits], n2, least.h, least.k) + [q for *_, kids in raised for q in kids]
+                assert sorted(grown) == sorted(_admitted(bits, chain[-1])), bits
+        assert len(raised_to) == len(chain) - 1  # every later cell is reached
 
 
 class TestTreeTotals:

@@ -248,6 +248,11 @@ class TestCatalanSweep:
         # same (h, n) set, same order, same values as the per-(h, n) dot product
         assert list(catalan_recurrence_rows(4, 160)) == list(_dot_product_rows(4, 160))
 
+    @pytest.mark.parametrize("h_min,h_max", [(5, 2), (1, 0), (0, 3)])
+    def test_bad_range_refused_before_the_first_row(self, h_min, h_max):
+        with pytest.raises(ValueError, match="need 1 <= h-min <= h-max"):
+            next(catalan_recurrence_rows(h_min, h_max))
+
     def test_h1000_alone(self):
         C = catalan_upto(999)
         rows = list(catalan_recurrence_rows(1000, 1000))
