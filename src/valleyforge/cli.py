@@ -42,15 +42,21 @@ def _parse_range(text: str) -> tuple[int, int]:
     """Parse '4..7' or a single '4' into an inclusive (lo, hi) pair.
 
     An argparse type, so a range is read under the interpreter's limit on
-    integer digits, like every other integer on the command line.
+    integer digits, like every other integer on the command line.  An error
+    quotes at most the first 20 characters of the argument.
     """
+    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
     lo_s, sep, hi_s = text.partition("..")
+    bounds = [lo_s, hi_s] if sep else [lo_s]
     try:
-        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+        lo, hi = int(bounds[0]), int(bounds[-1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid range {text!r}: expected N or LO..HI") from None
+        if all(s.isdecimal() for s in bounds):  # int() refuses such a bound only for its length
+            raise argparse.ArgumentTypeError(
+                f"range {shown} has a bound of more than {sys.get_int_max_str_digits()} digits") from None
+        raise argparse.ArgumentTypeError(f"invalid range {shown}: expected N or LO..HI") from None
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {shown}")
     return lo, hi
 
 

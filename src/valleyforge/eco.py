@@ -8,9 +8,10 @@ first, growing at most BLOCK parents at a time, so counting the tree
 levels.  Every site lies on the initial up-run, so a child is UU followed
 by its parent with one step turned into a D: one bit flip.  A block grows
 in one comprehension: an up-run t < h gives t+1 children, a full run h,
-and h-1 when the path begins with the saturated head U^h (DU)^(k-2).  The
-count builds every path up to depth n-1 and sums their child counts for
-depth n, so its time grows with the paths above the last level.  A path of
+and h-1 when the path begins with the saturated head U^h (DU)^(k-2).  For
+the count, paths up to depth n-2 are built; depths n-1 and n are counted:
+child i has up-run i+1, so below a full run it has i+2 children.  Its time
+grows with the paths above the last two levels.  A path of
 the class (h, k) lies in (h+1, k') for every k', and a larger k is a
 weaker restriction, so one walk of the (h_hi, k_hi) tree counts a whole
 grid of cells (:func:`grid_totals_upto`).  The cells are taken on one
@@ -97,7 +98,8 @@ def _child_counts(block: list[int], n2: int, h: int, k: int) -> list[int]:
     One comprehension reads every initial up-run t of the block.  A run
     t < h gives t+1 children, a full run (t = h) gives h, and h-1 when the
     path begins with the saturated head U^h (DU)^(k-2): one shift-compare
-    per full-run parent.
+    per full-run parent.  So a count depends on the first h + 2k - 4 steps
+    only, inside the window of W = h + 2k - 1 steps that decides the children.
     """
     full = (1 << n2) - 1
     head = _saturated_head(h, k)
@@ -114,9 +116,12 @@ def _grow(block: list[int], n2: int, h: int, k: int) -> list[int]:
     before it.  Child i has a UD inserted before step i, for i = 0 .. c-1,
     where c is the parent's count from :func:`_child_counts`.  Every site
     lies on the initial up-run, so child i is UU followed by the path, with
-    step i+1 of the child turned into a D: one bit flip.  The at most h
-    flips are the same for every parent of the block and are built once.
-    A path with label (0) has no child.
+    step i+1 of the child turned into a D: one bit flip.  So child i has
+    up-run i+1, which :func:`grid_totals_upto` relies on to count the
+    children of the children without building them.  The at most h flips
+    are the same for every parent of the block and are built once.  A path
+    with label (0) has no child.  The children depend on the first
+    W = h + 2k - 1 steps only (:func:`_child_counts`).
     """
     flips = [1 << s for s in range(n2, max(n2 - h, -1), -1)]
     base = 0b11 << n2
@@ -173,8 +178,9 @@ def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
     hm-1: it moves to the next cell.  Below h_hi, paths with a full up-run,
     U^hm D ..., have a site hm child of height hm+1: it moves to (hm+1, k_lo).
     Both are the bit flip of :func:`_grow`.  Saturated paths are sought only
-    among the full-run ones (at km = 2 the saturated head is U^hm).  Empty
-    lists are left out.
+    among the full-run ones (at km = 2 the saturated head is U^hm).  Both
+    heads lie inside the window of W = hm + 2km - 1 steps.  Empty lists are
+    left out.
     """
     if hm == h_hi and km == k_hi:
         return []
@@ -225,11 +231,14 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     Every cell's tree is the part of the (h_hi, k_hi) tree whose blocks have
     a least cell (hm, km) no later on the chain of :func:`_walk`, so depth m
     of a cell counts the paths at depth m of the blocks up to it: one
-    running sum over the chain.  The walk stops at depth nmax-1, and depth
-    nmax is counted: a block's paths have, summed, the child counts of
-    :func:`_child_counts` in the (hm, km) tree (t+1 for an up-run t < hm, hm
-    for a full run, hm-1 on the saturated head), and the children
-    :func:`_raised` returns count from the cell it names on.
+    running sum over the chain.  Paths up to depth nmax-2 are built; depths
+    nmax-1 and nmax are counted.  A block's paths have, summed, the child
+    counts of :func:`_child_counts` in the (hm, km) tree, and the children
+    :func:`_raised` returns count from the cell it names on.  Child i has
+    up-run i+1, so the child at a site i < hm-1 has i+2 children, none raised:
+    q(q+3)/2 from a parent with c children, q = min(c, hm-1).  Only the site
+    hm-1 child of a parent with c = hm, whose run is full, and the raised
+    children are built, and their children counted as above.
     """
     ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
     if h_hi < h_lo:
@@ -239,20 +248,32 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     if nmax < 0:
         raise ValueError("n must be >= 0")
     width = k_hi - k_lo + 1
-    # rows[c][m]: the paths at depth m of the blocks whose least cell is the
-    # c-th of the chain, and at depth nmax, the children whose least cell it
-    # is.  Their running sums over c are the counts.
-    rows = [[0] * (nmax + 1) for _ in range(width * (h_hi - h_lo + 1))]
-    last = nmax - 1
-    for m, hm, km, block in _walk(h_lo, h_hi, k_lo, k_hi, max(last, 0)):
-        c = (hm - h_lo) * width + km - k_lo
-        rows[c][m] += len(block)
-        if m == last:
-            n2 = 2 * m
-            rows[c][nmax] += sum(_child_counts(block, n2, hm, km))
-            for h, k, kids in _raised(block, n2, hm, km, h_hi, k_lo, k_hi):
-                rows[(h - h_lo) * width + k - k_lo][nmax] += len(kids)
-    cells = list(accumulate(rows, lambda acc, row: list(map(add, acc, row))))
+    # rows[c][m]: the paths at depth m whose least cell is the c-th of the
+    # chain.  Their running sums over c are the counts.  Two spare depths past
+    # nmax let nmax 0 and 1 take the one path below, from the root at depth 0.
+    rows = [[0] * (nmax + 3) for _ in range(width * (h_hi - h_lo + 1))]
+    last = max(nmax - 2, 0)
+    for m, hm, km, block in _walk(h_lo, h_hi, k_lo, k_hi, last):
+        row = rows[(hm - h_lo) * width + km - k_lo]
+        row[m] += len(block)
+        if m < last:
+            continue
+        n2, q = 2 * m, hm - 1
+        counts = _child_counts(block, n2, hm, km)
+        # Child i has up-run i+1: below a full run, i < q, it has i+2 children, none
+        # raised.  grand[c]: the children of the first min(c, q) children of a parent.
+        grand = [min(c, q) * (min(c, q) + 3) // 2 for c in range(hm + 1)]
+        row[m + 1] += sum(counts)
+        row[m + 2] += sum(map(grand.__getitem__, counts))
+        built = [(hm, km, [(0b11 << n2 | bits) ^ 1 << n2 - q for bits, c in zip(block, counts) if c == hm])]
+        for h, k, kids in _raised(block, n2, hm, km, h_hi, k_lo, k_hi):
+            rows[(h - h_lo) * width + k - k_lo][m + 1] += len(kids)
+            built.append((h, k, kids))
+        for h, k, kids in built:
+            rows[(h - h_lo) * width + k - k_lo][m + 2] += sum(_child_counts(kids, n2 + 2, h, k))
+            for g_h, g_k, grandkids in _raised(kids, n2 + 2, h, k, h_hi, k_lo, k_hi):
+                rows[(g_h - h_lo) * width + g_k - k_lo][m + 2] += len(grandkids)
+    cells = [row[:nmax + 1] for row in accumulate(rows, lambda acc, row: list(map(add, acc, row)))]
     return [cells[i:i + width] for i in range(0, len(cells), width)]
 
 

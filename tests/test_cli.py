@@ -424,6 +424,21 @@ class TestUsageErrors:
         assert f"argument --h: invalid range '{text}': expected N or LO..HI" in err
         assert "_parse_range" not in err
 
+    @pytest.mark.parametrize("text,cause", [
+        ("4" * 5000, f"has a bound of more than {sys.get_int_max_str_digits()} digits"),
+        ("4.." + "4" * 5000, f"has a bound of more than {sys.get_int_max_str_digits()} digits"),
+        ("4..x" + "4" * 5000, ": expected N or LO..HI"),
+        ("9" * 4000 + "..1", "empty range"),
+    ], ids=["too-long", "too-long-hi", "malformed", "empty"])
+    def test_long_range_quoted_by_a_prefix(self, capsys, text, cause):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--h", text, "--k", "3", "--n-max", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 400
+        assert "argument --h: " in err and cause in err
+        assert f"'{text[:20]}'... ({len(text)} characters)" in err
+
     @pytest.mark.parametrize("argv", [
         ("series", "--h", "4", "--k", "3", "--order", "7", "--cap", "5"),
         ("identity", "--h-min", "4", "--h-max", "9", "--cap", "5"),

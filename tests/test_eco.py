@@ -419,6 +419,42 @@ class TestRaised:
                     assert got == _raised_by_words(block, hm, km, h_hi, 2, k_hi), (h_hi, k_hi, m, hm, km)
 
 
+def _counted_by_building(block: list[int], m: int, hm: int, km: int, h_hi: int, k_lo: int,
+                         k_hi: int) -> Counter:
+    """Reference for the two depths ``grid_totals_upto`` counts below a block at depth m, keyed
+    (h, k, depth): the children built with ``_grow`` and ``_raised``, and theirs counted with
+    ``_child_counts`` and ``_raised``."""
+    n2, counted = 2 * m, Counter()
+    for h, k, kids in [(hm, km, eco._grow(block, n2, hm, km)),
+                       *eco._raised(block, n2, hm, km, h_hi, k_lo, k_hi)]:
+        counted[h, k, m + 1] += len(kids)
+        counted[h, k, m + 2] += sum(eco._child_counts(kids, n2 + 2, h, k))
+        for g_h, g_k, grandkids in eco._raised(kids, n2 + 2, h, k, h_hi, k_lo, k_hi):
+            counted[g_h, g_k, m + 2] += len(grandkids)
+    return counted
+
+
+class TestCountBelowTheWalk:
+    """grid_totals_upto counts the two depths below its last walked block without building most
+    of them; per block, the counts equal those of the children built."""
+
+    @pytest.mark.parametrize("h_lo", [1, 2, 4])
+    def test_every_walked_block(self, monkeypatch, h_lo):
+        walk_grid = eco._walk
+        for h_hi in range(h_lo, h_lo + 3):
+            for k_hi in range(2, 7):
+                chain = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(2, k_hi + 1)]
+                # the last walked depth of the counts to n = 2..10
+                for m, hm, km, block in walk_grid(h_lo, h_hi, 2, k_hi, 8):
+                    # A walk of this block alone: the grid's depths m+1 and m+2 are what lies below it.
+                    monkeypatch.setattr(eco, "_walk", lambda *args: iter([(m, hm, km, block)]))
+                    grid = grid_totals_upto(h_lo, h_hi, 2, k_hi, m + 2)
+                    counted = _counted_by_building(block, m, hm, km, h_hi, 2, k_hi)
+                    want = [list(accumulate(counted[h, k, d] for h, k in chain)) for d in (m + 1, m + 2)]
+                    got = [grid[h - h_lo][k - 2][m + 1:] for h, k in chain]
+                    assert got == [list(sums) for sums in zip(*want)], (h_hi, k_hi, m, hm, km)
+
+
 def _class_windows(params: ClassParams) -> dict[int, list[int]]:
     """The window paths of a cell, as bits keyed by their number of steps.
 
@@ -498,7 +534,7 @@ class TestWindowCertificate:
 
 
 class TestTreeTotals:
-    """tree_totals_upto counts the last depth from its parents' child counts, without building it."""
+    """tree_totals_upto builds the paths up to depth n-2; depths n-1 and n are counted."""
 
     @pytest.mark.parametrize("h,k,nmax", [(h, k, 9) for h, k in SUPPORTED] + [(7, 5, 12)])
     def test_leaf_count_equals_the_built_level(self, h, k, nmax):
@@ -519,6 +555,8 @@ class TestTreeTotals:
     def test_small_nmax(self):
         assert tree_totals_upto(H4K3, 0) == [1]
         assert tree_totals_upto(H4K3, 1) == [1, 1]
+        assert tree_totals_upto(H4K3, 2) == [1, 1, 2]
+        assert tree_totals_upto(H4K3, 3) == [1, 1, 2, 5]
 
     @pytest.mark.parametrize("nmax", [-1])
     def test_errors_are_raised_before_any_work(self, monkeypatch, nmax):
@@ -569,6 +607,21 @@ def _assert_grids_match_dp(h_lo, h_hi, nmaxes):
             assert grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax) == want, (k_lo, k_hi, nmax)
 
 
+def _walked_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax) -> list[tuple[int, int]]:
+    """(depth, size) of every block ``grid_totals_upto`` takes from ``eco._walk``."""
+    walk_grid, walked = eco._walk, []
+
+    def recorded(*args):
+        for m, hm, km, block in walk_grid(*args):
+            walked.append((m, len(block)))
+            yield m, hm, km, block
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eco, "_walk", recorded)
+        grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax)
+    return walked
+
+
 def _assert_no_walk(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax):
     def no_walk(*args):
         raise AssertionError("walked")
@@ -608,7 +661,7 @@ class TestGrid:
     @pytest.mark.parametrize("h_lo", range(1, 8))
     def test_grids_match_dp(self, h_lo):
         for h_hi in range(h_lo + 1, 9):
-            _assert_grids_match_dp(h_lo, h_hi, [0, 1, 2, 9])
+            _assert_grids_match_dp(h_lo, h_hi, [0, 1, 2, 3, 9])
 
     def test_deep_grid_from_h1_k2_matches_dp(self):
         # h = 1 and k = 2, and at small depths saturated heads longer than the paths
@@ -617,10 +670,19 @@ class TestGrid:
             for k in range(2, 7):
                 assert grid[h - 1][k - 2] == brute_counts_upto(ClassParams(h, k), 13), (h, k)
 
-    def test_acceptance_grid_builds_the_largest_tree_once(self):
+    def test_acceptance_grid_builds_the_largest_tree_once(self, monkeypatch):
         # the paths of the (7, 5) tree up to depth 11, where a walk per h built 268,257
         assert sum(len(block) for *_, block in eco._walk(4, 7, 3, 5, 11)) == 81_231
         assert sum(brute_counts_upto(ClassParams(7, 5), 11)) == 81_231
+        # the count to n = 12 walks them up to depth 10 only
+        assert sum(size for _, size in _walked_by_the_count(monkeypatch, 4, 7, 3, 5, 12)) == 23_546
+        assert sum(brute_counts_upto(ClassParams(7, 5), 10)) == 23_546
+
+    @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi", [(4, 4, 3, 3), (1, 3, 2, 4), (4, 7, 3, 5)])
+    def test_count_walks_no_deeper_than_nmax_minus_2(self, monkeypatch, h_lo, h_hi, k_lo, k_hi):
+        for nmax in range(12):
+            walked = _walked_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
+            assert max(m for m, _ in walked) == max(nmax - 2, 0), nmax
 
     @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi,nmax", [
         (0, 3, 3, 4, 5), (5, 4, 3, 4, 5), (4, 5, 1, 4, 5), (4, 5, 4, 3, 5), (4, 5, 3, 4, -1)])
@@ -682,6 +744,29 @@ class _GrowthTree:
         return r
 
 
+def _tail_changed(bits: int, params: ClassParams) -> int:
+    """``bits`` with steps past the first W = h + 2k - 1 changed: one right-to-left sweep of
+    UD <-> DU swaps, each kept when the path stays a class path, so a U can move back to step W."""
+    n2, w = bits.bit_length(), params.h + 2 * params.k - 1
+    for p in range(n2 - 2, w - 1, -1):
+        pair = bits >> n2 - 2 - p & 0b11
+        above_axis = 2 * (bits >> n2 - p).bit_count() > p  # the ordinate before step p is > 0
+        if pair == 0b01 or pair == 0b10 and above_axis:  # DU -> UD, or UD -> DU above the axis
+            swapped = bits ^ 0b11 << n2 - 2 - p
+            if is_in_class(DyckPath(swapped), params):
+                bits = swapped
+    return bits
+
+
+def _read_by_growth(bits: int, n2: int, h: int, k: int) -> list:
+    """What growth reads of a path in every cell (hm, km) up to (h, k): the child count, and the
+    cells and flips of the raised children (a child XOR its parent is UU and its site's flip)."""
+    return [(eco._child_counts([bits], n2, hm, km),
+             [(g_h, g_k, [kid ^ bits for kid in kids])
+              for g_h, g_k, kids in eco._raised([bits], n2, hm, km, h, 2, k)])
+            for hm in range(1, h + 1) for km in range(2, k + 1)]
+
+
 class TestRankPastTheCap:
     """ECO evidence at depths no listing reaches."""
 
@@ -701,3 +786,22 @@ class TestRankPastTheCap:
         level = [bits for m, block in walk(params, 10) if m == 10 for bits in block]
         assert len(level) == tree.T[10][0] == 13988
         assert [tree.unrank(r).bits for r in range(len(level))] == level
+
+    @pytest.mark.parametrize("h,k", [(7, 5), (64, 5)])
+    def test_steps_past_the_window_change_no_count(self, h, k):
+        """The window is pinned: growth reads nothing past the first W = h + 2k - 1 steps."""
+        params, n = ClassParams(h, k), 300
+        tree = _GrowthTree(params, n)
+        total = tree.T[n][0]
+        # a saturated head and a full run that is not saturated, then seeded ranks
+        heads = ["U" * h + "DU" * (k - 2) + "D" * h + "UD" * (n - h - k + 2),
+                 "U" * h + "D" * h + "UD" * (n - h)]
+        rng = random.Random(1000 * h + k)
+        ranks = [*(tree.rank(parse_path(word)) for word in heads), 0, total - 1,
+                 *(rng.randrange(total) for _ in range(20))]
+        for r in ranks:
+            bits = tree.unrank(r).bits
+            changed = _tail_changed(bits, params)
+            assert changed != bits and (changed ^ bits) >> 2 * n - (h + 2 * k - 1) == 0, r
+            assert is_in_class(DyckPath(changed), params)
+            assert _read_by_growth(changed, 2 * n, h, k) == _read_by_growth(bits, 2 * n, h, k), r
