@@ -38,25 +38,41 @@ ROUTES = {
 }
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """Parse '4..7' or a single '4' into an inclusive (lo, hi) pair.
+def _quoted(text: str) -> str:
+    """An argument as an error quotes it: whole up to 20 characters, else its first 20."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
-    An argparse type, so a range is read under the interpreter's limit on
-    integer digits, like every other integer on the command line.  An error
-    quotes at most the first 20 characters of the argument.
+
+def _parse_int(text: str, whole: str = "") -> int:
+    """Parse an integer argument: the argparse type of every integer option.
+
+    As an argparse type it reads the argument under the interpreter's limit
+    on integer digits, and an error says when the limit is why ``int``
+    refused it.  ``whole`` is the range a bound is read from, for
+    :func:`_parse_range`; an error quotes it, or else the argument.
     """
-    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-    lo_s, sep, hi_s = text.partition("..")
-    bounds = [lo_s, hi_s] if sep else [lo_s]
     try:
-        lo, hi = int(bounds[0]), int(bounds[-1])
+        return int(text)
     except ValueError:
-        if all(s.isdecimal() for s in bounds):  # int() refuses such a bound only for its length
+        what = f"range {_quoted(whole)}" if whole else f"int value {_quoted(text)}"
+        if text.isdecimal():  # int() refuses such a text only for its length
+            bound = "a bound of " if whole else ""
             raise argparse.ArgumentTypeError(
-                f"range {shown} has a bound of more than {sys.get_int_max_str_digits()} digits") from None
-        raise argparse.ArgumentTypeError(f"invalid range {shown}: expected N or LO..HI") from None
+                f"{what} has {bound}more than {sys.get_int_max_str_digits()} digits") from None
+        hint = ": expected N or LO..HI" if whole else ""
+        raise argparse.ArgumentTypeError(f"invalid {what}{hint}") from None
+
+
+def _parse_range(text: str) -> tuple[int, int]:
+    """Parse '4..7' or a single '4' into an inclusive (lo, hi) pair; an argparse type.
+
+    Each bound is read by :func:`_parse_int`, so a range is refused as an
+    integer option is, and an error quotes the whole argument.
+    """
+    lo_s, sep, hi_s = text.partition("..")
+    lo, hi = _parse_int(lo_s, text), _parse_int(hi_s if sep else lo_s, text)
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {shown}")
+        raise argparse.ArgumentTypeError(f"empty range {_quoted(text)}")
     return lo, hi
 
 
@@ -241,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     listing = argparse.ArgumentParser(add_help=False)
-    listing.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
+    listing.add_argument("--cap", type=_parse_int, default=oracle.DEFAULT_CAP,
                          help="semilength cap for listing paths (the eco route and generate)")
 
     parser = argparse.ArgumentParser(prog="valleyforge",
@@ -251,37 +267,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[common, listing], help="count paths by one route")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--h", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     p.add_argument("--method", choices=["eco", "brute", "rule", "series"],
                    help="the route to count by; optional with --cross-check")
     p.add_argument("--cross-check", action="store_true", help="count by all four routes and compare")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("generate", parents=[common, listing], help="list all paths of one size")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--h", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("series", parents=[common], help="expand the counting series")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--h", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, required=True)
+    p.add_argument("--order", type=_parse_int, required=True)
     p.add_argument("--show-components", action="store_true")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("identity", parents=[common], help="check the Catalan recurrence")
-    p.add_argument("--h-min", type=int, required=True)
-    p.add_argument("--h-max", type=int, required=True)
+    p.add_argument("--h-min", type=_parse_int, required=True)
+    p.add_argument("--h-max", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("verify", parents=[common, listing], help="four-route agreement grid")
     p.add_argument("--h", type=_parse_range, required=True, help="height bound or range, e.g. 4..7")
     p.add_argument("--k", type=_parse_range, required=True, help="run bound or range, e.g. 3..5")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--n-max", type=_parse_int, required=True)
+    p.add_argument("--jobs", type=_parse_int, default=1,
                    help="accepted for compatibility, no effect: verify always runs in one process")
     p.set_defaults(func=_cmd_verify)
 

@@ -2,25 +2,23 @@
 
 The growth operator inserts a UD peak at the active sites of a path, so
 that every path of semilength n+1 in the class is produced exactly once
-from a path of semilength n.  :func:`walk` visits this ECO tree depth
-first, growing at most BLOCK parents at a time, so counting the tree
-(:func:`tree_totals_upto`) holds a few blocks per depth rather than whole
-levels.  Every site lies on the initial up-run, so a child is UU followed
-by its parent with one step turned into a D: one bit flip.  A block grows
-in one comprehension: an up-run t < h gives t+1 children, a full run h,
-and h-1 when the path begins with the saturated head U^h (DU)^(k-2).  For
-the count, paths up to depth n-2 are built; depths n-1 and n are counted:
-child i has up-run i+1, so below a full run it has i+2 children.  Its time
-grows with the paths above the last two levels.  A path of
-the class (h, k) lies in (h+1, k') for every k', and a larger k is a
-weaker restriction, so one walk of the (h_hi, k_hi) tree counts a whole
-grid of cells (:func:`grid_totals_upto`).  The cells are taken on one
-chain, k inside h, and each block carries the least cell whose class
-holds its paths.  A block's children keep its cell, except two kinds,
-raised to a later one by the one rule of :func:`_raised`: the child that
-lengthens a saturated run of valleys goes to the next cell, and the child
-above a full up-run goes to the next h.  Label dynamics reproduce the
-same counts without touching any concrete path.
+from a path of semilength n.  :func:`walk` lists this ECO tree depth
+first, growing at most BLOCK parents at a time.  Every site lies on the
+initial up-run, so a child is UU followed by its parent with one step
+turned into a D: one bit flip.  A block grows in one comprehension: an
+up-run t < h gives t+1 children, a full run h, and h-1 when the path
+begins with the saturated head U^h (DU)^(k-2).  Child i has up-run i+1,
+so the count, depth first in blocks too, builds only the raised paths and
+those whose subtree can reach a full run, and counts the rest by up-run.
+A path of the class (h, k) lies in (h+1, k') for every k', and a larger
+k is a weaker restriction, so one (h_hi, k_hi) tree counts a whole grid
+of cells (:func:`grid_totals_upto`).  The cells are taken on one chain, k
+inside h, and each block carries the least cell whose class holds its
+paths.  A block's children keep its cell, except two kinds, raised to a
+later one by the one rule of :func:`_raised`: the child that lengthens a
+saturated run of valleys goes to the next cell, and the child above a
+full up-run goes to the next h.  Label dynamics reproduce the same
+counts without touching any concrete path.
 
 The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
 this module a label is its text, such as "(3)" or "(h_0)", as the paper
@@ -34,8 +32,8 @@ suffix sums.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate
+from collections import Counter, defaultdict
+from itertools import accumulate, islice
 from operator import add
 from typing import Iterator
 
@@ -109,24 +107,23 @@ def _child_counts(block: list[int], n2: int, h: int, k: int) -> list[int]:
             for bits in block]
 
 
-def _grow(block: list[int], n2: int, h: int, k: int) -> list[int]:
+def _grow(block: list[int], n2: int, h: int, k: int, first: int = 0,
+          counts: list[int] | None = None) -> list[int]:
     """Bit patterns of the children of a block of class paths of 2n steps.
 
     The children of each parent, in site order, follow those of the parent
-    before it.  Child i has a UD inserted before step i, for i = 0 .. c-1,
-    where c is the parent's count from :func:`_child_counts`.  Every site
-    lies on the initial up-run, so child i is UU followed by the path, with
-    step i+1 of the child turned into a D: one bit flip.  So child i has
-    up-run i+1, which :func:`grid_totals_upto` relies on to count the
-    children of the children without building them.  The at most h flips
-    are the same for every parent of the block and are built once.  A path
-    with label (0) has no child.  The children depend on the first
-    W = h + 2k - 1 steps only (:func:`_child_counts`).
+    before it.  Child i has a UD inserted before step i, for i = ``first`` ..
+    c-1, with c the parent's count in ``counts`` or from :func:`_child_counts`.
+    Every site lies on the initial up-run, so child i is UU followed by the
+    path with step i+1 turned into a D: one bit flip, and up-run i+1, which
+    lets :func:`_count` count the sites below ``first`` unbuilt.  The at most
+    h flips are built once.  A path with label (0) has no child.  The children
+    depend on the first W = h + 2k - 1 steps only (:func:`_child_counts`).
     """
+    counts = _child_counts(block, n2, h, k) if counts is None else counts
     flips = [1 << s for s in range(n2, max(n2 - h, -1), -1)]
     base = 0b11 << n2
-    return [(base | bits) ^ flip
-            for bits, c in zip(block, _child_counts(block, n2, h, k)) for flip in flips[:c]]
+    return [(base | bits) ^ flip for bits, c in zip(block, counts) for flip in flips[first:c]]
 
 
 def _with_head(block: list[int], n2: int, head: int) -> list[int]:
@@ -165,8 +162,7 @@ def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    h, k = params.h, params.k
-    return ((m, block) for m, _, _, block in _walk(h, h, k, k, n))
+    return ((m, block) for m, _, _, block in _walk(params.h, params.h, params.k, params.k, n))
 
 
 def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
@@ -196,7 +192,8 @@ def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
 
 def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
           n: int) -> Iterator[tuple[int, int, int, list[int]]]:
-    """The (h_hi, k_hi) tree to depth n, as ``(m, hm, km, block)``.
+    """The (h_hi, k_hi) tree to depth n, as ``(m, hm, km, block)``: the listing walk of
+    :func:`walk`, and the tests' reference for the counts of :func:`_count`.
 
     The cells (h, k) are taken on one chain, (h_lo, k_lo) .. (h_lo, k_hi),
     (h_lo+1, k_lo) .. (h_hi, k_hi).  A path of height H whose longest run
@@ -206,8 +203,7 @@ def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
     first peak depends on neither h nor k, so a block's children in the
     (hm, km) tree (:func:`_grow`) keep (hm, km).  Its only other children
     are raised: :func:`_raised` returns them with the later cell of each.
-    On a chain of one cell, as for :func:`walk`, nothing is raised, and
-    the walk order is the tree's.
+    On one cell, as for :func:`walk`, nothing is raised: the walk order is the tree's.
     """
     root = [EMPTY_PATH.bits]
     yield 0, h_lo, k_lo, root
@@ -225,20 +221,72 @@ def _walk(h_lo: int, h_hi: int, k_lo: int, k_hi: int,
                 stack.append((m + 1, g_h, g_k, kids, 0))
 
 
-def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> list[list[list[int]]]:
-    """ECO-tree class counts for n = 0..nmax, indexed [h - h_lo][k - k_lo][n], from one walk.
+def _below(h: int, n: int) -> list[list[int]]:
+    """below[u][d], u + d <= h, d <= n: the paths d levels under a path of up-run u in a cell
+    (h', k), h' >= u + d, where each path above them has up-run < h': child i has up-run i+1."""
+    cols = [[1] * (h + 1)]  # cols[d][u], for u <= h - d
+    for _ in range(min(n, h)):
+        cols.append(list(accumulate(cols[-1][1:])))
+    return [[col[u] for col in cols if u < len(col)] for u in range(h + 1)]
 
-    Every cell's tree is the part of the (h_hi, k_hi) tree whose blocks have
-    a least cell (hm, km) no later on the chain of :func:`_walk`, so depth m
-    of a cell counts the paths at depth m of the blocks up to it: one
-    running sum over the chain.  Paths up to depth nmax-2 are built; depths
-    nmax-1 and nmax are counted.  A block's paths have, summed, the child
-    counts of :func:`_child_counts` in the (hm, km) tree, and the children
-    :func:`_raised` returns count from the cell it names on.  Child i has
-    up-run i+1, so the child at a site i < hm-1 has i+2 children, none raised:
-    q(q+3)/2 from a parent with c children, q = min(c, hm-1).  Only the site
-    hm-1 child of a parent with c = hm, whose run is full, and the raised
-    children are built, and their children counted as above.
+
+def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo: int, h_hi: int,
+           k_lo: int, k_hi: int) -> list[list[list[int]]]:
+    """Counts [h - h_lo][k - k_lo][n <= nmax] of ``fragment``'s paths, at depth m0 and keyed by
+    their least cells (h, k), and of the paths below them in the (h_hi, k_hi) tree.
+
+    A stack entry is one depth's fragment; a step grows up to BLOCK of its parents,
+    across cells, into one fragment a depth down.  Child i of a parent at depth
+    nmax - r in (hm, km) has up-run i+1, so below it no full run comes before nmax
+    if i < s0 = max(hm - r + 1, 0).  Such children are tallied by min(c, s0), c the
+    parent's child count, and expanded from :func:`_below` at the end.  Only sites
+    s0 .. c-1 and :func:`_raised`'s children are built; at r = 1, the raised ones.
+    """
+    rows = defaultdict(lambda: [0] * (nmax + 1))  # rows[h, k][m]: paths at depth m, least cell (h, k)
+    tally = Counter()  # (h, k, m, q): parents at depth m, least cell (h, k), with q children tallied
+    for cell, paths in fragment.items():
+        rows[cell][m0] += len(paths)
+    stack = [(m0, dict(fragment))] if m0 < nmax else []
+    while stack:
+        m, frag = stack.pop()
+        step, room = [], BLOCK
+        while frag and room:
+            (h, k), paths = frag.popitem()
+            if len(paths) > room:
+                frag[h, k], paths = paths[room:], paths[:room]
+            step.append((h, k, paths))
+            room -= len(paths)
+        if frag:
+            stack.append((m, frag))
+        n2, r, kids = 2 * m, nmax - m, {}
+        for hm, km, parents in step:
+            counts = _child_counts(parents, n2, hm, km)
+            s0 = max(hm - r + 1, 0)
+            for c, parents_c in Counter(counts).items() if s0 else ():
+                tally[hm, km, m, min(c, s0)] += parents_c
+            grown = [(hm, km, _grow(parents, n2, hm, km, s0, counts))] if s0 < hm else []
+            for h, k, paths in grown + _raised(parents, n2, hm, km, h_hi, k_lo, k_hi):
+                rows[h, k][m + 1] += len(paths)
+                if r > 1 and paths:
+                    kids.setdefault((h, k), []).extend(paths)
+        if kids:
+            stack.append((m + 1, kids))
+    below = _below(h_hi, nmax)
+    for (h, k, m, q), parents in tally.items():
+        for d, paths in enumerate(below[q - 1][1:nmax - m + 1] if q else (), m + 1):
+            rows[h, k][d] += parents * paths
+    sums = accumulate((rows[h, k] for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)),
+                      lambda acc, row: list(map(add, acc, row)))
+    return [list(islice(sums, k_hi - k_lo + 1)) for _ in range(h_lo, h_hi + 1)]
+
+
+def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> list[list[list[int]]]:
+    """ECO-tree class counts for n = 0..nmax, indexed [h - h_lo][k - k_lo][n], from one tree.
+
+    A cell's tree is the part of the (h_hi, k_hi) tree whose paths have a
+    least cell no later on :func:`_walk`'s chain: one running sum over the
+    chain.  Only raised paths and those whose subtree can reach a full up-run
+    before depth nmax are built; the others are counted by up-run (:func:`_count`).
     """
     ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
     if h_hi < h_lo:
@@ -247,40 +295,12 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
         raise ValueError(f"empty k range {k_lo}..{k_hi}")
     if nmax < 0:
         raise ValueError("n must be >= 0")
-    width = k_hi - k_lo + 1
-    # rows[c][m]: the paths at depth m whose least cell is the c-th of the
-    # chain.  Their running sums over c are the counts.  Two spare depths past
-    # nmax let nmax 0 and 1 take the one path below, from the root at depth 0.
-    rows = [[0] * (nmax + 3) for _ in range(width * (h_hi - h_lo + 1))]
-    last = max(nmax - 2, 0)
-    for m, hm, km, block in _walk(h_lo, h_hi, k_lo, k_hi, last):
-        row = rows[(hm - h_lo) * width + km - k_lo]
-        row[m] += len(block)
-        if m < last:
-            continue
-        n2, q = 2 * m, hm - 1
-        counts = _child_counts(block, n2, hm, km)
-        # Child i has up-run i+1: below a full run, i < q, it has i+2 children, none
-        # raised.  grand[c]: the children of the first min(c, q) children of a parent.
-        grand = [min(c, q) * (min(c, q) + 3) // 2 for c in range(hm + 1)]
-        row[m + 1] += sum(counts)
-        row[m + 2] += sum(map(grand.__getitem__, counts))
-        built = [(hm, km, [(0b11 << n2 | bits) ^ 1 << n2 - q for bits, c in zip(block, counts) if c == hm])]
-        for h, k, kids in _raised(block, n2, hm, km, h_hi, k_lo, k_hi):
-            rows[(h - h_lo) * width + k - k_lo][m + 1] += len(kids)
-            built.append((h, k, kids))
-        for h, k, kids in built:
-            rows[(h - h_lo) * width + k - k_lo][m + 2] += sum(_child_counts(kids, n2 + 2, h, k))
-            for g_h, g_k, grandkids in _raised(kids, n2 + 2, h, k, h_hi, k_lo, k_hi):
-                rows[(g_h - h_lo) * width + g_k - k_lo][m + 2] += len(grandkids)
-    cells = [row[:nmax + 1] for row in accumulate(rows, lambda acc, row: list(map(add, acc, row)))]
-    return [cells[i:i + width] for i in range(0, len(cells), width)]
+    return _count({(h_lo, k_lo): [EMPTY_PATH.bits]}, 0, nmax, h_lo, h_hi, k_lo, k_hi)
 
 
 def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
     """ECO-tree class counts for every semilength 0..nmax: a grid of one cell."""
-    h, k = params.h, params.k
-    return grid_totals_upto(h, h, k, k, nmax)[0][0]
+    return grid_totals_upto(params.h, params.h, params.k, params.k, nmax)[0][0]
 
 
 def generate(params: ClassParams, n: int) -> list[DyckPath]:

@@ -439,6 +439,31 @@ class TestUsageErrors:
         assert "argument --h: " in err and cause in err
         assert f"'{text[:20]}'... ({len(text)} characters)" in err
 
+    @pytest.mark.parametrize("argv,option", [
+        (("count", "--h", "4", "--k", "3", "--method", "rule", "--n"), "--n"),
+        (("series", "--h", "4", "--k", "3", "--order"), "--order"),
+        (("generate", "--h", "4", "--k", "3", "--n", "3", "--cap"), "--cap"),
+        (("identity", "--h-min", "4", "--h-max"), "--h-max"),
+    ], ids=["n", "order", "cap", "h-max"])
+    @pytest.mark.parametrize("text,cause", [
+        ("4" * 5000, f"has more than {sys.get_int_max_str_digits()} digits"),
+        ("x" + "4" * 5000, "invalid int value"),
+    ], ids=["too-long", "malformed"])
+    def test_long_int_quoted_by_a_prefix(self, capsys, argv, option, text, cause):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, text])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.encode()) < 400
+        assert f"argument {option}: " in err and cause in err
+        assert f"'{text[:20]}'... ({len(text)} characters)" in err
+
+    def test_short_int_quoted_whole(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--h", "4", "--k", "3", "--method", "rule", "--n", "4x"])
+        assert exc.value.code == 2
+        assert "argument --n: invalid int value '4x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ("series", "--h", "4", "--k", "3", "--order", "7", "--cap", "5"),
         ("identity", "--h-min", "4", "--h-max", "9", "--cap", "5"),

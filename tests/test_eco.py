@@ -419,40 +419,58 @@ class TestRaised:
                     assert got == _raised_by_words(block, hm, km, h_hi, 2, k_hi), (h_hi, k_hi, m, hm, km)
 
 
-def _counted_by_building(block: list[int], m: int, hm: int, km: int, h_hi: int, k_lo: int,
-                         k_hi: int) -> Counter:
-    """Reference for the two depths ``grid_totals_upto`` counts below a block at depth m, keyed
-    (h, k, depth): the children built with ``_grow`` and ``_raised``, and theirs counted with
-    ``_child_counts`` and ``_raised``."""
-    n2, counted = 2 * m, Counter()
-    for h, k, kids in [(hm, km, eco._grow(block, n2, hm, km)),
-                       *eco._raised(block, n2, hm, km, h_hi, k_lo, k_hi)]:
-        counted[h, k, m + 1] += len(kids)
-        counted[h, k, m + 2] += sum(eco._child_counts(kids, n2 + 2, h, k))
-        for g_h, g_k, grandkids in eco._raised(kids, n2 + 2, h, k, h_hi, k_lo, k_hi):
-            counted[g_h, g_k, m + 2] += len(grandkids)
+def _built_below(block: list[int], m: int, hm: int, km: int, nmax: int, h_hi: int, k_lo: int,
+                 k_hi: int) -> Counter:
+    """Reference for ``eco._count`` on one block at depth m in (hm, km), keyed (h, k, depth): the
+    block, and every path below it built down to depth nmax with ``_grow`` and ``_raised``."""
+    counted, level = Counter(), [(hm, km, block)]
+    for depth in range(m, nmax + 1):
+        below = []
+        for h, k, paths in level:
+            counted[h, k, depth] += len(paths)
+            if depth < nmax:
+                below += [(h, k, eco._grow(paths, 2 * depth, h, k)),
+                          *eco._raised(paths, 2 * depth, h, k, h_hi, k_lo, k_hi)]
+        level = below
     return counted
 
 
 class TestCountBelowTheWalk:
-    """grid_totals_upto counts the two depths below its last walked block without building most
-    of them; per block, the counts equal those of the children built."""
+    """_count from one walked block equals the block's subtree built down to depth nmax: the
+    children it tallies and expands from _below, and the ones it builds, split into steps."""
 
     @pytest.mark.parametrize("h_lo", [1, 2, 4])
-    def test_every_walked_block(self, monkeypatch, h_lo):
-        walk_grid = eco._walk
+    def test_every_walked_block(self, h_lo):
         for h_hi in range(h_lo, h_lo + 3):
             for k_hi in range(2, 7):
                 chain = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(2, k_hi + 1)]
-                # the last walked depth of the counts to n = 2..10
-                for m, hm, km, block in walk_grid(h_lo, h_hi, 2, k_hi, 8):
-                    # A walk of this block alone: the grid's depths m+1 and m+2 are what lies below it.
-                    monkeypatch.setattr(eco, "_walk", lambda *args: iter([(m, hm, km, block)]))
-                    grid = grid_totals_upto(h_lo, h_hi, 2, k_hi, m + 2)
-                    counted = _counted_by_building(block, m, hm, km, h_hi, 2, k_hi)
-                    want = [list(accumulate(counted[h, k, d] for h, k in chain)) for d in (m + 1, m + 2)]
-                    got = [grid[h - h_lo][k - 2][m + 1:] for h, k in chain]
-                    assert got == [list(sums) for sums in zip(*want)], (h_hi, k_hi, m, hm, km)
+                for m, hm, km, block in eco._walk(h_lo, h_hi, 2, k_hi, 7):
+                    nmax = m + 1 + m % 4  # 1 to 4 levels below the block
+                    built = _built_below(block, m, hm, km, nmax, h_hi, 2, k_hi)
+                    want = [list(accumulate(built[h, k, d] for h, k in chain)) for d in range(nmax + 1)]
+                    got = eco._count({(hm, km): block}, m, nmax, h_lo, h_hi, 2, k_hi)
+                    assert [got[h - h_lo][k - 2] for h, k in chain] == [list(sums) for sums in zip(*want)], \
+                        (h_hi, k_hi, m, hm, km)
+
+
+class TestBelow:
+    """below[u][d] against explicit growth: d levels of ``_grow`` under a path of up-run u, while
+    every up-run above them stays below h.  No rule step is read, so the routes stay apart."""
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_matches_explicit_growth(self, h):
+        below = eco._below(h, 10)
+        assert [len(row) for row in below] == [min(10, h - u) + 1 for u in range(h + 1)]
+        for u in range(h + 1):
+            for word in {"U" * u + "D" * u, "U" * u + "DUD" + "D" * (u - 1) if u else ""}:
+                block, n2 = [parse_path(word).bits], len(word)
+                assert below[u][0] == 1
+                for d in range(1, h - u + 1):
+                    block, n2 = eco._grow(block, n2, h, 3), n2 + 2
+                    assert len(block) == below[u][d], (word, d)
+
+    def test_rows_stop_at_n(self):
+        assert eco._below(8, 3) == [row[:4] for row in eco._below(8, 10)]
 
 
 def _class_windows(params: ClassParams) -> dict[int, list[int]]:
@@ -534,7 +552,8 @@ class TestWindowCertificate:
 
 
 class TestTreeTotals:
-    """tree_totals_upto builds the paths up to depth n-2; depths n-1 and n are counted."""
+    """tree_totals_upto builds raised paths and those whose subtree can reach a full up-run; the
+    rest are counted."""
 
     @pytest.mark.parametrize("h,k,nmax", [(h, k, 9) for h, k in SUPPORTED] + [(7, 5, 12)])
     def test_leaf_count_equals_the_built_level(self, h, k, nmax):
@@ -560,10 +579,10 @@ class TestTreeTotals:
 
     @pytest.mark.parametrize("nmax", [-1])
     def test_errors_are_raised_before_any_work(self, monkeypatch, nmax):
-        def no_walk(*args):
-            raise AssertionError("walked")
+        def no_work(*args):
+            raise AssertionError("a child count was read")
 
-        monkeypatch.setattr(eco, "_walk", no_walk)
+        monkeypatch.setattr(eco, "_child_counts", no_work)
         with pytest.raises(ValueError):
             tree_totals_upto(H4K3, nmax)
 
@@ -607,26 +626,46 @@ def _assert_grids_match_dp(h_lo, h_hi, nmaxes):
             assert grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax) == want, (k_lo, k_hi, nmax)
 
 
-def _walked_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax) -> list[tuple[int, int]]:
-    """(depth, size) of every block ``grid_totals_upto`` takes from ``eco._walk``."""
-    walk_grid, walked = eco._walk, []
+def _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax) -> tuple[list, list]:
+    """(depth, h, k, bits), sorted, of every path whose child counts ``grid_totals_upto`` reads,
+    and the depths of the children ``_grow`` builds for it."""
+    child_counts, grow, read, grown = eco._child_counts, eco._grow, [], []
 
-    def recorded(*args):
-        for m, hm, km, block in walk_grid(*args):
-            walked.append((m, len(block)))
-            yield m, hm, km, block
+    def reading(block, n2, h, k):
+        read.extend((n2 // 2, h, k, bits) for bits in block)
+        return child_counts(block, n2, h, k)
+
+    def growing(block, n2, *args):
+        kids = grow(block, n2, *args)
+        grown.extend(n2 // 2 + 1 for _ in kids)
+        return kids
 
     with monkeypatch.context() as patch:
-        patch.setattr(eco, "_walk", recorded)
+        patch.setattr(eco, "_child_counts", reading)
+        patch.setattr(eco, "_grow", growing)
         grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax)
-    return walked
+    return sorted(read), grown
 
 
-def _assert_no_walk(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax):
-    def no_walk(*args):
-        raise AssertionError("walked")
+def _to_build(walked: list, nmax: int) -> list:
+    """The paths the count must build to depth nmax, from the walk's ``(m, h, k, bits)``, sorted:
+    the root, and each path at a depth m in 1 .. nmax-1 whose up-run u and least cell (h, k) give
+    u + nmax - m > h, or that is raised, its parent's least cell an earlier one."""
+    cell = {bits: (h, k) for _, h, k, bits in walked}
+    return sorted((m, h, k, bits) for m, h, k, bits in walked if m < nmax and (
+        m == 0 or eco._up_run(bits, 2 * m) + nmax - m > h
+        or cell[invert_first_peak(DyckPath(bits)).bits] != (h, k)))
 
-    monkeypatch.setattr(eco, "_walk", no_walk)
+
+def _walked(h_lo, h_hi, k_lo, k_hi, n) -> list:
+    return [(m, h, k, bits) for m, h, k, block in eco._walk(h_lo, h_hi, k_lo, k_hi, n) for bits in block]
+
+
+def _assert_no_work(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax):
+    def no_work(*args):
+        raise AssertionError("a child count was read")
+
+    monkeypatch.setattr(eco, "_child_counts", no_work)
     with pytest.raises(ValueError):
         grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax)
 
@@ -646,7 +685,7 @@ class TestColumns:
     @pytest.mark.parametrize("h,k_lo,k_hi,nmax", [(0, 3, 4, 5), (4, 1, 4, 5), (4, 4, 3, 5),
                                                   (4, 3, 4, -1)])
     def test_errors_are_raised_before_any_work(self, monkeypatch, h, k_lo, k_hi, nmax):
-        _assert_no_walk(monkeypatch, h, h, k_lo, k_hi, nmax)
+        _assert_no_work(monkeypatch, h, h, k_lo, k_hi, nmax)
 
 
 class TestGrid:
@@ -672,22 +711,52 @@ class TestGrid:
 
     def test_acceptance_grid_builds_the_largest_tree_once(self, monkeypatch):
         # the paths of the (7, 5) tree up to depth 11, where a walk per h built 268,257
-        assert sum(len(block) for *_, block in eco._walk(4, 7, 3, 5, 11)) == 81_231
+        walked = _walked(4, 7, 3, 5, 11)
+        assert len(walked) == 81_231
         assert sum(brute_counts_upto(ClassParams(7, 5), 11)) == 81_231
-        # the count to n = 12 walks them up to depth 10 only
-        assert sum(size for _, size in _walked_by_the_count(monkeypatch, 4, 7, 3, 5, 12)) == 23_546
-        assert sum(brute_counts_upto(ClassParams(7, 5), 10)) == 23_546
+        # the count to n = 12 reads the child counts of the paths that can reach a full run only
+        read, _ = _built_by_the_count(monkeypatch, 4, 7, 3, 5, 12)
+        assert read == _to_build(walked, 12)
+        assert len(read) == 17_767
 
     @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi", [(4, 4, 3, 3), (1, 3, 2, 4), (4, 7, 3, 5)])
-    def test_count_walks_no_deeper_than_nmax_minus_2(self, monkeypatch, h_lo, h_hi, k_lo, k_hi):
+    def test_count_builds_the_paths_that_can_reach_a_full_run(self, monkeypatch, h_lo, h_hi, k_lo, k_hi):
+        """Exactly the raised paths and those that can reach a full run before nmax are read: no
+        path at depth nmax is grown or read, and no child at a site below s0 is built."""
+        walked = _walked(h_lo, h_hi, k_lo, k_hi, 10)
         for nmax in range(12):
-            walked = _walked_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
-            assert max(m for m, _ in walked) == max(nmax - 2, 0), nmax
+            read, grown = _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
+            assert read == _to_build(walked, nmax), nmax
+            assert all(depth < nmax for depth in grown), nmax
+
+    @pytest.mark.parametrize("h_lo", range(1, 8))
+    def test_grids_match_the_walk(self, h_lo):
+        """Per depth and per cell, the running sums over the chain of the walk's blocks."""
+        for h_hi in range(h_lo, h_lo + 3):
+            for k_lo in range(2, 6):
+                for k_hi in range(k_lo, k_lo + 3):
+                    chain = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(k_lo, k_hi + 1)]
+                    walked = Counter()
+                    for m, hm, km, block in eco._walk(h_lo, h_hi, k_lo, k_hi, 10):
+                        walked[hm, km, m] += len(block)
+                    sums = [list(accumulate(walked[h, k, m] for h, k in chain)) for m in range(11)]
+                    for nmax in [0, 1, 2, 3, 4, 5, 7, 10]:
+                        grid = grid_totals_upto(h_lo, h_hi, k_lo, k_hi, nmax)
+                        assert [grid[h - h_lo][k - k_lo] for h, k in chain] == \
+                            [[sums[m][i] for m in range(nmax + 1)] for i in range(len(chain))], \
+                            (h_hi, k_lo, k_hi, nmax)
+
+    def test_blocks_of_three_split_a_cells_list(self, monkeypatch):
+        monkeypatch.setattr(eco, "BLOCK", 3)
+        grid = grid_totals_upto(1, 5, 2, 4, 10)
+        for h in range(1, 6):
+            for k in range(2, 5):
+                assert grid[h - 1][k - 2] == brute_counts_upto(ClassParams(h, k), 10), (h, k)
 
     @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi,nmax", [
         (0, 3, 3, 4, 5), (5, 4, 3, 4, 5), (4, 5, 1, 4, 5), (4, 5, 4, 3, 5), (4, 5, 3, 4, -1)])
     def test_errors_are_raised_before_any_work(self, monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax):
-        _assert_no_walk(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
+        _assert_no_work(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
 
 
 class _GrowthTree:
