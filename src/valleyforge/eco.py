@@ -7,18 +7,18 @@ first, growing at most BLOCK parents at a time.  Every site lies on the
 initial up-run, so a child is UU followed by its parent with one step
 turned into a D: one bit flip.  A block grows in one comprehension: an
 up-run t < h gives t+1 children, a full run h, and h-1 when the path
-begins with the saturated head U^h (DU)^(k-2).  Child i has up-run i+1,
-so the count, depth first in blocks too, builds only the raised paths and
-those whose subtree can reach a full run, and counts the rest by up-run.
-A path of the class (h, k) lies in (h+1, k') for every k', and a larger
-k is a weaker restriction, so one (h_hi, k_hi) tree counts a whole grid
-of cells (:func:`grid_totals_upto`).  The cells are taken on one chain, k
-inside h, and each block carries the least cell whose class holds its
-paths.  A block's children keep its cell, except two kinds, raised to a
-later one by the one rule of :func:`_raised`: the child that lengthens a
-saturated run of valleys goes to the next cell, and the child above a
-full up-run goes to the next h.  Label dynamics reproduce the same
-counts without touching any concrete path.
+begins with the saturated head U^h (DU)^(k-2).  A path of the class
+(h, k) lies in (h+1, k') for every k', and a larger k is a weaker
+restriction, so one (h_hi, k_hi) tree counts a whole grid of cells
+(:func:`grid_totals_upto`).  The cells are taken on one chain, k inside
+h, and each block carries the least cell whose class holds its paths.
+A block's children keep its cell, except two kinds, raised to a later
+one by :func:`_raised`: the child that lengthens a saturated run of
+valleys goes to the next cell, and the child above a full up-run goes
+to the next h.  Child i has up-run i+1, so the count builds only the
+paths whose subtree can reach a full run, counts the rest by up-run,
+and merges paths on their first h_hi + 2k_hi - 4 steps, all it reads.
+Label dynamics reproduce the counts without touching a concrete path.
 
 The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
 this module a label is its text, such as "(3)" or "(h_0)", as the paper
@@ -33,9 +33,9 @@ suffix sums.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import EmptyPath, NotInClass
 from .paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class
@@ -116,9 +116,9 @@ def _grow(block: list[int], n2: int, h: int, k: int, first: int = 0,
     c-1, with c the parent's count in ``counts`` or from :func:`_child_counts`.
     Every site lies on the initial up-run, so child i is UU followed by the
     path with step i+1 turned into a D: one bit flip, and up-run i+1, which
-    lets :func:`_count` count the sites below ``first`` unbuilt.  The at most
-    h flips are built once.  A path with label (0) has no child.  The children
-    depend on the first W = h + 2k - 1 steps only (:func:`_child_counts`).
+    lets :func:`_count` count the sites below ``first`` unbuilt.  A path with
+    label (0) has no child.  The children depend on the first W = h + 2k - 1
+    steps only (:func:`_child_counts`), their counts on the first h + 2k - 4.
     """
     counts = _child_counts(block, n2, h, k) if counts is None else counts
     flips = [1 << s for s in range(n2, max(n2 - h, -1), -1)]
@@ -144,8 +144,8 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     return [DyckPath(bits) for bits in _grow([path.bits], path.bits.bit_length(), params.h, params.k)]
 
 
-# Parents grown into one block of children: the walk holds about
-# BLOCK * h paths per depth, whatever n is.
+# Parents grown into one block of children: the walk, and the count while
+# its paths are whole, hold about BLOCK * h paths per depth, whatever n is.
 BLOCK = 1024
 
 
@@ -230,29 +230,53 @@ def _below(h: int, n: int) -> list[list[int]]:
     return [[col[u] for col in cols if u < len(col)] for u in range(h + 1)]
 
 
+def _add(sums: dict[int, int], keys: Iterable[int], weights: Iterable[int]) -> dict[int, int]:
+    """``sums`` with each key's weight added to it."""
+    for key, weight in zip(keys, weights):
+        sums[key] = sums.get(key, 0) + weight
+    return sums
+
+
 def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo: int, h_hi: int,
            k_lo: int, k_hi: int) -> list[list[list[int]]]:
     """Counts [h - h_lo][k - k_lo][n <= nmax] of ``fragment``'s paths, at depth m0 and keyed by
     their least cells (h, k), and of the paths below them in the (h_hi, k_hi) tree.
 
-    A stack entry is one depth's fragment; a step grows up to BLOCK of its parents,
-    across cells, into one fragment a depth down.  Child i of a parent at depth
-    nmax - r in (hm, km) has up-run i+1, so below it no full run comes before nmax
-    if i < s0 = max(hm - r + 1, 0).  Such children are tallied by min(c, s0), c the
-    parent's child count, and expanded from :func:`_below` at the end.  Only sites
-    s0 .. c-1 and :func:`_raised`'s children are built; at r = 1, the raised ones.
+    Child i of a parent at depth nmax - r in (hm, km) has up-run i+1, so below it no full
+    run comes before nmax if i < s0 = max(hm - r + 1, 0).  Such children are tallied by
+    min(c, s0), c the parent's child count, and expanded from :func:`_below` at the end, as
+    is a raised child of up-run u at depth m in (h, k) if u + nmax - m <= h.  Every step
+    read lies in the first L = h_hi + 2k_hi - 4 steps: a longer path is cut to them, the
+    rest set to 0, and merged per depth and cell into a level of {prefix: paths}, taken up
+    shallowest first once no whole path is left.  Whole paths go depth first, a step
+    growing up to BLOCK of one depth's parents across cells.
     """
+    cut = h_hi + 2 * k_hi - 4  # L
     rows = defaultdict(lambda: [0] * (nmax + 1))  # rows[h, k][m]: paths at depth m, least cell (h, k)
     tally = Counter()  # (h, k, m, q): parents at depth m, least cell (h, k), with q children tallied
-    for cell, paths in fragment.items():
-        rows[cell][m0] += len(paths)
-    stack = [(m0, dict(fragment))] if m0 < nmax else []
-    while stack:
-        m, frag = stack.pop()
+    levels = defaultdict(lambda: defaultdict(dict))  # levels[m][h, k][prefix]: paths, for 2m > L
+
+    def keep(m, h, k, paths, weights, kids, q=0):
+        """Counts paths at depth m in (h, k), and tallies them by ``q`` or keeps them below nmax."""
+        n = len(paths) if weights is None else sum(weights)
+        rows[h, k][m] += n
+        if q:
+            tally[h, k, m, q] += n
+        elif paths and m < nmax and 2 * m <= cut:
+            kids.setdefault((h, k), []).extend(paths)
+        elif paths and m < nmax:
+            drop = -(1 << 2 * m - cut)  # keeps the first L steps
+            _add(levels[m][h, k], [bits & drop for bits in paths], weights or repeat(1))
+
+    stack = [(m0, {})]
+    for (h, k), paths in fragment.items():
+        keep(m0, h, k, paths, None, stack[0][1])
+    while stack or levels:
+        m, frag = stack.pop() if stack else (m := min(levels), levels.pop(m))
         step, room = [], BLOCK
-        while frag and room:
+        while frag and room > 0:
             (h, k), paths = frag.popitem()
-            if len(paths) > room:
+            if len(paths) > room and 2 * m <= cut:  # a level's cell is taken whole
                 frag[h, k], paths = paths[room:], paths[:room]
             step.append((h, k, paths))
             room -= len(paths)
@@ -260,15 +284,20 @@ def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo:
             stack.append((m, frag))
         n2, r, kids = 2 * m, nmax - m, {}
         for hm, km, parents in step:
+            weights = parents.values() if n2 > cut else None  # None: whole paths, one each
             counts = _child_counts(parents, n2, hm, km)
             s0 = max(hm - r + 1, 0)
-            for c, parents_c in Counter(counts).items() if s0 else ():
-                tally[hm, km, m, min(c, s0)] += parents_c
-            grown = [(hm, km, _grow(parents, n2, hm, km, s0, counts))] if s0 < hm else []
-            for h, k, paths in grown + _raised(parents, n2, hm, km, h_hi, k_lo, k_hi):
-                rows[h, k][m + 1] += len(paths)
-                if r > 1 and paths:
-                    kids.setdefault((h, k), []).extend(paths)
+            if s0:
+                for c, n in (Counter(counts) if weights is None else _add({}, counts, weights)).items():
+                    tally[hm, km, m, min(c, s0)] += n
+            if s0 < hm:
+                keep(m + 1, hm, km, _grow(parents, n2, hm, km, s0, counts),
+                     weights and [w for w, c in zip(weights, counts) for _ in range(s0, c)], kids)
+            for h, k, paths in _raised(parents, n2, hm, km, h_hi, k_lo, k_hi):
+                u = _up_run(paths[0], n2 + 2)  # the children of one head share a site
+                undo = 1 << n2 + 1 - u ^ 0b11 << n2  # a child back to its parent
+                keep(m + 1, h, k, paths, weights and [parents[bits ^ undo] for bits in paths],
+                     kids, u + 1 if 1 < r <= h - u + 1 else 0)  # tallied: u + nmax - (m+1) <= h
         if kids:
             stack.append((m + 1, kids))
     below = _below(h_hi, nmax)
@@ -285,8 +314,9 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
 
     A cell's tree is the part of the (h_hi, k_hi) tree whose paths have a
     least cell no later on :func:`_walk`'s chain: one running sum over the
-    chain.  Only raised paths and those whose subtree can reach a full up-run
-    before depth nmax are built; the others are counted by up-run (:func:`_count`).
+    chain.  Only the paths whose subtree can reach a full up-run before depth
+    nmax are built, those past h_hi + 2k_hi - 4 steps cut to them and merged;
+    the others are counted by up-run (:func:`_count`).
     """
     ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
     if h_hi < h_lo:

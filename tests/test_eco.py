@@ -437,20 +437,24 @@ def _built_below(block: list[int], m: int, hm: int, km: int, nmax: int, h_hi: in
 
 class TestCountBelowTheWalk:
     """_count from one walked block equals the block's subtree built down to depth nmax: the
-    children it tallies and expands from _below, and the ones it builds, split into steps."""
+    children it tallies and expands from _below, and the ones it builds, split into steps or,
+    past L = h_hi + 2k_hi - 4 steps, cut to L and merged (on entry too)."""
 
     @pytest.mark.parametrize("h_lo", [1, 2, 4])
     def test_every_walked_block(self, h_lo):
+        cut_on_entry = 0
         for h_hi in range(h_lo, h_lo + 3):
             for k_hi in range(2, 7):
                 chain = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(2, k_hi + 1)]
                 for m, hm, km, block in eco._walk(h_lo, h_hi, 2, k_hi, 7):
+                    cut_on_entry += 2 * m > h_hi + 2 * k_hi - 4
                     nmax = m + 1 + m % 4  # 1 to 4 levels below the block
                     built = _built_below(block, m, hm, km, nmax, h_hi, 2, k_hi)
                     want = [list(accumulate(built[h, k, d] for h, k in chain)) for d in range(nmax + 1)]
                     got = eco._count({(hm, km): block}, m, nmax, h_lo, h_hi, 2, k_hi)
                     assert [got[h - h_lo][k - 2] for h, k in chain] == [list(sums) for sums in zip(*want)], \
                         (h_hi, k_hi, m, hm, km)
+        assert cut_on_entry
 
 
 class TestBelow:
@@ -627,12 +631,15 @@ def _assert_grids_match_dp(h_lo, h_hi, nmaxes):
 
 
 def _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax) -> tuple[list, list]:
-    """(depth, h, k, bits), sorted, of every path whose child counts ``grid_totals_upto`` reads,
-    and the depths of the children ``_grow`` builds for it."""
+    """((depth, h, k, first L steps), paths), sorted, of every state whose child counts
+    ``grid_totals_upto`` reads, L = h_hi + 2k_hi - 4, and the depths of the children ``_grow``
+    builds for them.  A merged state comes as a dict of its paths; a whole path counts one."""
     child_counts, grow, read, grown = eco._child_counts, eco._grow, [], []
+    cut = h_hi + 2 * k_hi - 4
 
     def reading(block, n2, h, k):
-        read.extend((n2 // 2, h, k, bits) for bits in block)
+        read.extend(((n2 // 2, h, k, bits >> max(n2 - cut, 0)),
+                     block[bits] if isinstance(block, dict) else 1) for bits in block)
         return child_counts(block, n2, h, k)
 
     def growing(block, n2, *args):
@@ -648,13 +655,17 @@ def _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax) -> tuple[list
 
 
 def _to_build(walked: list, nmax: int) -> list:
-    """The paths the count must build to depth nmax, from the walk's ``(m, h, k, bits)``, sorted:
-    the root, and each path at a depth m in 1 .. nmax-1 whose up-run u and least cell (h, k) give
-    u + nmax - m > h, or that is raised, its parent's least cell an earlier one."""
-    cell = {bits: (h, k) for _, h, k, bits in walked}
-    return sorted((m, h, k, bits) for m, h, k, bits in walked if m < nmax and (
-        m == 0 or eco._up_run(bits, 2 * m) + nmax - m > h
-        or cell[invert_first_peak(DyckPath(bits)).bits] != (h, k)))
+    """The paths the count must build to depth nmax, from the walk's ``(m, h, k, bits)``: the
+    root, and each path at a depth m in 1 .. nmax-1 whose up-run u and least cell (h, k) give
+    u + nmax - m > h."""
+    return [(m, h, k, bits) for m, h, k, bits in walked if m < nmax and (
+        m == 0 or eco._up_run(bits, 2 * m) + nmax - m > h)]
+
+
+def _merged(paths: list, cut: int) -> list:
+    """``paths`` as the count must read them: one state per depth, cell and first ``cut`` steps,
+    with the number of paths it stands for, sorted."""
+    return sorted(Counter((m, h, k, bits >> max(2 * m - cut, 0)) for m, h, k, bits in paths).items())
 
 
 def _walked(h_lo, h_hi, k_lo, k_hi, n) -> list:
@@ -714,20 +725,45 @@ class TestGrid:
         walked = _walked(4, 7, 3, 5, 11)
         assert len(walked) == 81_231
         assert sum(brute_counts_upto(ClassParams(7, 5), 11)) == 81_231
-        # the count to n = 12 reads the child counts of the paths that can reach a full run only
+        # the count to n = 12 reads the paths that can reach a full run, merged on their first
+        # L = 7 + 2*5 - 4 = 13 steps: 3,208 states for 17,721 paths
         read, _ = _built_by_the_count(monkeypatch, 4, 7, 3, 5, 12)
-        assert read == _to_build(walked, 12)
-        assert len(read) == 17_767
+        assert read == _merged(_to_build(walked, 12), 13)
+        assert len(read) == 3_208
+        assert sum(paths for _, paths in read) == 17_721
 
     @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi", [(4, 4, 3, 3), (1, 3, 2, 4), (4, 7, 3, 5)])
     def test_count_builds_the_paths_that_can_reach_a_full_run(self, monkeypatch, h_lo, h_hi, k_lo, k_hi):
-        """Exactly the raised paths and those that can reach a full run before nmax are read: no
-        path at depth nmax is grown or read, and no child at a site below s0 is built."""
+        """Exactly the paths that can reach a full run before nmax are read, once per depth, cell
+        and first L steps: no path at depth nmax is grown or read, and no child at a site below
+        s0 is built."""
         walked = _walked(h_lo, h_hi, k_lo, k_hi, 10)
         for nmax in range(12):
             read, grown = _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
-            assert read == _to_build(walked, nmax), nmax
+            assert read == _merged(_to_build(walked, nmax), h_hi + 2 * k_hi - 4), nmax
             assert all(depth < nmax for depth in grown), nmax
+
+    def test_far_past_the_cap_the_count_matches_dp(self):
+        grid = grid_totals_upto(4, 7, 3, 5, 30)
+        for h in range(4, 8):
+            for k in range(3, 6):
+                assert grid[h - 4][k - 3] == brute_counts_upto(ClassParams(h, k), 30), (h, k)
+        assert tree_totals_upto(ClassParams(7, 5), 60) == brute_counts_upto(ClassParams(7, 5), 60)
+
+    def test_states_grow_linearly_past_saturation(self, monkeypatch):
+        # at (7, 5), L = 13: past depth 7 each depth adds the same 1,560 states
+        read = [len(_built_by_the_count(monkeypatch, 7, 7, 5, 5, nmax)[0]) for nmax in (20, 40, 60)]
+        assert read == [11_708, 42_908, 74_108]
+        assert read[2] - read[1] == read[1] - read[0] == 20 * 1_560
+
+    def test_merging_does_not_depend_on_block(self, monkeypatch):
+        read, _ = _built_by_the_count(monkeypatch, 4, 7, 3, 5, 12)
+        monkeypatch.setattr(eco, "BLOCK", 3)
+        assert _built_by_the_count(monkeypatch, 4, 7, 3, 5, 12)[0] == read
+        grid = grid_totals_upto(4, 7, 3, 5, 12)
+        for h in range(4, 8):
+            for k in range(3, 6):
+                assert grid[h - 4][k - 3] == brute_counts_upto(ClassParams(h, k), 12), (h, k)
 
     @pytest.mark.parametrize("h_lo", range(1, 8))
     def test_grids_match_the_walk(self, h_lo):
