@@ -1,6 +1,7 @@
 """Command-line interface: counting, generation, series, identity, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
+or out of memory.
 All output is deterministic: fixed orderings, plain decimal integers.
 """
 
@@ -81,20 +82,24 @@ def _parse_range(text: str) -> tuple[int, int]:
 JSON_BLOCK = 4096
 
 
-def _emit(fmt: str, items, record, line) -> None:
+def _emit(fmt: str, items, record, line, json_text=None) -> None:
     """Write items in the requested form as they come, computing only that form.
 
     ``items`` is any iterable; it is read once and never held whole.
     plain: ``line(item)`` per item; json: one array of ``record(item)``
     dicts, written in blocks of up to JSON_BLOCK records and byte-identical
     to ``json.dumps`` of the whole list; csv: a header row of the record
-    keys, then one row per item.
+    keys, then one row per item.  ``json_text(item)``, if given, is the
+    JSON text of ``record(item)``, written in its place.
     """
     if fmt == "json":
-        records = map(record, items)
+        if json_text is None:
+            rows, join = map(record, items), lambda block: json.dumps(block)[1:-1]
+        else:
+            rows, join = map(json_text, items), ", ".join
         sep = "["
-        while block := list(islice(records, JSON_BLOCK)):
-            sys.stdout.write(sep + json.dumps(block)[1:-1])
+        while block := list(islice(rows, JSON_BLOCK)):
+            sys.stdout.write(sep + join(block))
             sep = ", "
         sys.stdout.write("[]\n" if sep == "[" else "]\n")
     elif fmt == "csv":
@@ -161,7 +166,11 @@ def _cmd_generate(args) -> int:
     oracle.check_cap(args.n, args.cap)
     _emit(args.format, eco.generate(params, args.n),
           lambda p: {"word": p.word, "height": height(p), "label": eco.label_of(p, params)},
-          lambda p: p.word)
+          lambda p: p.word,
+          # The record's JSON text, with no dict: a U/D word, an int and a
+          # label such as "(h_0)" need no escaping.
+          lambda p: f'{{"word": "{p.word}", "height": {height(p)}, '
+                    f'"label": "{eco.label_of(p, params)}"}}')
     return 0
 
 
@@ -315,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValleyforgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}; try smaller sizes", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(max_digits)

@@ -336,10 +336,15 @@ def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
 def generate(params: ClassParams, n: int) -> list[DyckPath]:
     """All class paths of semilength n, each exactly once, sorted by word."""
     # The bit patterns first: building paths inside the walk would hold the
-    # walk's blocks beside them.  The paths then go to sorted() through a
+    # walk's blocks beside them.  They are sorted as ints: for one length,
+    # numeric order on bits is word order (D = 0 < U = 1), so the word sort
+    # below meets one ascending run, a linear pass with no merge buffer.  It
+    # stays keyed on the word because the benchmark's tests patch that line
+    # (ROADMAP item 2 moves it to bits).  The paths go to sorted() through a
     # generator, so no list of them is held beside sorted()'s own, and the
     # bit-pattern list is let go before the sort keys are made.
     level = [bits for m, block in walk(params, n) if m == n for bits in block]
+    level.sort()
     level = (DyckPath(bits) for bits in level)
     return sorted(level, key=lambda p: p.word)
 

@@ -17,7 +17,7 @@ from math import comb
 from .errors import BadSymbol, NegativePrefix, UnbalancedWord
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, init=False)
 class DyckPath:
     """Immutable balanced U/D step sequence with nonnegative prefixes.
 
@@ -31,17 +31,21 @@ class DyckPath:
     bits: int
     semilength = property(lambda self: self.bits.bit_length() >> 1)
 
+    def __init__(self, bits: int) -> None:
+        _store_bits(self, bits)  # the slot's own setter, past the frozen __setattr__
+
     def __reduce__(self):  # pickle through the constructor: a frozen slot cannot be set
         return DyckPath, (self.bits,)
 
     @property
     def word(self) -> str:
-        return bin(self.bits)[2:].translate(_WORD) if self.bits else ""
+        return f"{self.bits:b}".translate(_WORD) if self.bits else ""
 
     def __str__(self) -> str:
         return self.word
 
 
+_store_bits = DyckPath.bits.__set__
 EMPTY_PATH = DyckPath(0)
 
 # Steps as text and as binary digits.
@@ -150,7 +154,8 @@ def is_in_class(path: DyckPath, params: ClassParams) -> bool:
     """True iff the path has height <= h and valley-run at h-1 <= k-2."""
     # A valley at h-1 is entered by a D from h, so only a path of height h can
     # hold a forbidden run: only such a path scans its valley runs at h-1.
-    top = height(path)
+    bits = path.bits
+    top = _top(bits, bits.bit_length())
     if top != params.h:
         return top < params.h
     return max_valley_run_at_height(path, params.h - 1) <= params.k - 2

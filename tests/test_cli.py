@@ -12,7 +12,7 @@ import pytest
 import valleyforge
 from valleyforge import cli, eco, identity, series
 from valleyforge.cli import main
-from valleyforge.paths import ClassParams
+from valleyforge.paths import ClassParams, height
 
 
 def run(capsys, *argv):
@@ -125,6 +125,21 @@ class TestGenerate:
         records = json.loads(out)
         assert records[0] == {"word": "UDUD", "height": 1, "label": "(2)"}
         assert Counter(r["label"] for r in records) == eco.rule_counts(ClassParams(4, 3), 2)
+
+    @pytest.mark.parametrize("block", [cli.JSON_BLOCK, 3])
+    @pytest.mark.parametrize("h, k", [(h, k) for h in range(1, 7) for k in range(2, 6)])
+    def test_json_rows_are_dumps_of_the_records(self, capsys, monkeypatch, h, k, block):
+        """Each row, written from a template, is json.dumps of its dict record,
+        byte for byte; at a block of 3 the listings cross block ends.  At
+        h = 1, k = 2 the listings past n = 1 are empty: ``[]``."""
+        monkeypatch.setattr(cli, "JSON_BLOCK", block)
+        params = ClassParams(h, k)
+        for n in range(8):
+            records = [{"word": p.word, "height": height(p), "label": eco.label_of(p, params)}
+                       for p in eco.generate(params, n)]
+            code, out, _ = run(capsys, "generate", "--h", str(h), "--k", str(k), "--n", str(n),
+                               "--format", "json")
+            assert (code, out) == (0, json.dumps(records) + "\n")
 
 
 class TestSeries:
@@ -389,6 +404,21 @@ class TestEmitJson:
         assert out.getvalue() == json.dumps([{"i": i} for i in range(3 * self.B)]) + "\n"
 
 
+class TestOutOfMemory:
+    def _exhausted(self, *args):
+        raise MemoryError
+
+    def test_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(eco, "grid_totals_upto", self._exhausted)
+        code, out, err = run(capsys, "verify", "--h", "4..5", "--k", "3", "--n-max", "3")
+        assert (code, out, err) == (2, "", "error: out of memory running verify; try smaller sizes\n")
+
+    def test_count_route(self, capsys, monkeypatch):
+        monkeypatch.setattr(series, "f_series", self._exhausted)
+        code, out, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "5", "--method", "series")
+        assert (code, out, err) == (2, "", "error: out of memory running count; try smaller sizes\n")
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_output(self, capsys):
         outs = set()
@@ -555,8 +585,9 @@ def _child_peak_rss_mib(argv: list[str]) -> float:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc, on Linux only")
 def test_listing_json_peak_rss():
-    """The 13.5 MB JSON listing of 201,145 paths is written, never held whole."""
-    assert _child_peak_rss_mib(["generate", "--h", "7", "--k", "5", "--n", "12", "--format", "json"]) < 96
+    """The 13.5 MB JSON listing of 201,145 paths is written, never held whole: about 50 MiB,
+    and 72 MiB when the whole text is joined before it is written."""
+    assert _child_peak_rss_mib(["generate", "--h", "7", "--k", "5", "--n", "12", "--format", "json"]) < 64
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc, on Linux only")

@@ -161,6 +161,18 @@ class TestGenerate:
         words = [p.word for p in generate(H4K3, 5)]
         assert words == sorted(words)
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_bits_order_is_word_order(self, n):
+        """For one length, ascending bits is ascending word (D = 0 < U = 1):
+        what lets generate sort its bit patterns as ints first."""
+        paths = enumerate_dyck(n)
+        assert sorted(paths, key=lambda p: p.bits) == sorted(paths, key=lambda p: p.word)
+
+    @pytest.mark.parametrize("h, k, n", [(4, 3, 8), (7, 5, 9), (1, 2, 1), (3, 2, 7), (2, 6, 9)])
+    def test_strictly_ascending_bits(self, h, k, n):
+        bits = [p.bits for p in generate(ClassParams(h, k), n)]
+        assert bits and all(a < b for a, b in zip(bits, bits[1:]))
+
     def test_disjoint_union_property(self):
         for n in range(7):
             parents = generate(H4K3, n)

@@ -108,6 +108,9 @@ class TestParse:
         assert (DyckPath(0).word, DyckPath(0).semilength) == ("", 0)
         assert (DyckPath(0b1100).word, DyckPath(0b1100).semilength) == ("UUDD", 2)
         assert all(str(p) == p.word for p in (EMPTY_PATH, DyckPath(0b1100), DyckPath(0b110100)))
+        assert repr(DyckPath(bits=0b1100)) == "DyckPath(bits=12)"
+        assert DyckPath(bits=12) == DyckPath(12) != DyckPath(10)
+        assert hash(DyckPath(12)) == hash(DyckPath(12)) == hash((12,))
 
 
 def _parse_reference(word):
