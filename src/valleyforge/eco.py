@@ -18,6 +18,7 @@ valleys goes to the next cell, and the child above a full up-run goes
 to the next h.  Child i has up-run i+1, so the count builds only the
 paths whose subtree can reach a full run, counts the rest by up-run,
 and merges paths on their first h_hi + 2k_hi - 4 steps, all it reads.
+The walk and the count to n clamp (h, k) at (n+1, n+2): no cost past them.
 Label dynamics reproduce the counts without touching a concrete path.
 
 The labels (0), (1), ..., (h), (h_0), ..., (h_{k-3}) form a chain.  Outside
@@ -158,11 +159,10 @@ def walk(params: ClassParams, n: int) -> Iterator[tuple[int, list[int]]]:
     before the blocks below it, so the blocks at one depth, taken in walk
     order, concatenate to the whole level in breadth-first order.  No
     ``DyckPath`` is built.  Parameters are checked here, before the first
-    block.
+    block.  To depth n the ``params.clamped(n)`` tree is the same tree.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return ((m, block) for m, _, _, block in _walk(params.h, params.h, params.k, params.k, n))
+    c = params.clamped(n)
+    return ((m, block) for m, _, _, block in _walk(c.h, c.h, c.k, c.k, n))
 
 
 def _raised(parents: list[int], n2: int, hm: int, km: int, h_hi: int, k_lo: int,
@@ -316,16 +316,18 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     least cell no later on :func:`_walk`'s chain: one running sum over the
     chain.  Only the paths whose subtree can reach a full up-run before depth
     nmax are built, those past h_hi + 2k_hi - 4 steps cut to them and merged;
-    the others are counted by up-run (:func:`_count`).
+    the others are counted by up-run (:func:`_count`).  Past ``ClassParams.clamped``
+    a cell shares its clamped cell's row, and an h its clamped h's list of rows.
     """
-    ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
+    lo = ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
     if h_hi < h_lo:
         raise ValueError(f"empty h range {h_lo}..{h_hi}")
     if k_hi < k_lo:
         raise ValueError(f"empty k range {k_lo}..{k_hi}")
-    if nmax < 0:
-        raise ValueError("n must be >= 0")
-    return _count({(h_lo, k_lo): [EMPTY_PATH.bits]}, 0, nmax, h_lo, h_hi, k_lo, k_hi)
+    lo, hi = lo.clamped(nmax), ClassParams(h_hi, k_hi).clamped(nmax)
+    grid = [[rows[min(k, hi.k) - lo.k] for k in range(k_lo, k_hi + 1)]
+            for rows in _count({(lo.h, lo.k): [EMPTY_PATH.bits]}, 0, nmax, lo.h, hi.h, lo.k, hi.k)]
+    return [grid[min(h, hi.h) - lo.h] for h in range(h_lo, h_hi + 1)]
 
 
 def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:
@@ -396,8 +398,5 @@ def rule_counts(params: ClassParams, n: int) -> Counter[str]:
 
 def rule_totals_upto(params: ClassParams, nmax: int) -> list[int]:
     """Succession-rule class counts for every semilength 0..nmax, in one sweep,
-    taken at (min(h, nmax+1), min(k, nmax+2)) as ``series.f_series`` takes them."""
-    if nmax < 0:
-        raise ValueError("n must be >= 0")
-    params = ClassParams(min(params.h, nmax + 1), min(params.k, nmax + 2))
-    return [sum(v) for v in _rule_steps(params, nmax)]
+    taken at ``params.clamped(nmax)``."""
+    return [sum(v) for v in _rule_steps(params.clamped(nmax), nmax)]

@@ -10,9 +10,9 @@ S = ``series.build_S`` and P = ``series.counting_numerator``,
 
     P = (-1)^h S(h-1, k)   (h >= 2),   P = -(1 - x^k)   (h = 1).
 
-It is derived and checked here, against counts from every route; no
-theorem is quoted for it.  ``check_relation`` refuses a bad (h, k) before
-it reads any count, then takes n = 0 .. h+k-1, the last being the first
+``counting_numerator`` derives it; it is checked here against counts
+from every route.  ``check_relation`` refuses a bad (h, k) before it
+reads any count, then takes n = 0 .. h+k-1, the last being the first
 semilength where the run bound removes a path, U^h (DU)^{k-1} D^h.
 
 The Catalan recurrence: the height series agrees with the Catalan series

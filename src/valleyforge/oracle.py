@@ -64,12 +64,11 @@ def brute_counts_upto(params: ClassParams, nmax: int) -> list[int]:
     or is the start.  ``down[r]`` is h-1 just after a D from h, ``top[r]`` is
     h, with run r < k-1 adjacent DU factors at h-1 carried through the D
     from h.  Merged prefixes have the same continuations, so these h + 2k - 2
-    states keep every count.  No path of semilength <= nmax reaches nmax+1
-    or holds nmax valleys, so h and k are clamped there: huge bounds are free.
+    states keep every count.  The DP runs at ``params.clamped(nmax)``, so
+    huge bounds are free.
     """
-    if nmax < 0:
-        raise ValueError("n must be >= 0")
-    h, k = min(params.h, nmax + 1), min(params.k, nmax + 2)
+    params = params.clamped(nmax)
+    h, k = params.h, params.k
     low, down, top = [0] * h, [0] * (k - 1), [0] * (k - 1)
     low[0] = 1  # the empty prefix
     counts = [1]

@@ -70,6 +70,14 @@ class ClassParams:
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
 
+    def clamped(self, n: int) -> ClassParams:
+        """(min(h, n+1), min(k, n+2)), the bounds every route that counts or walks to n takes: a
+        path of semilength <= n never reaches height n+1 or holds n valleys, so no larger h or k
+        admits another path up to n."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return ClassParams(min(self.h, n + 1), min(self.k, n + 2))
+
 
 def parse_path(word: str) -> DyckPath:
     """Parse an uppercase 'U'/'D' word into a validated DyckPath."""

@@ -70,9 +70,9 @@ def build_S(h: int, k: int) -> list[int]:
 def counting_numerator(h: int, k: int) -> list[int]:
     """P = (-1)^h S(h-1, k), or -(1 - x^k) at h = 1: the counting series is P / S(h, k).
 
-    The N_i of ``closed_form_numerator``, summed as ``_counts`` sums the
-    F_i, give P (checked on h <= 40, k <= 15), so by ``closed_form_residuals``
-    f = P / S there at every order.
+    Derived: f is a continued fraction of depth h, c_{h-2} / c_{h-1} for the continuants
+    c_{-1} = 1 - x^k, c_0 = 1 - x, c_j = c_{j-1} - x c_{j-2}; S's q_h + x^{k+1} q_{h-3} has
+    that recurrence in h and those seeds, so S and P are c_{h-1} and c_{h-2} times S's sign.
     """
     ClassParams(h, k)  # refuses h < 1 and k < 2
     return [(-1) ** h * c for c in build_S(h - 1, k)] if h > 1 else [-1, *[0] * (k - 1), 1]
@@ -229,10 +229,9 @@ def f_series(params: ClassParams, order: int) -> TruncatedSeries:
     """Counting series of the class: coefficient n is the count at semilength n.
 
     The components are never held: working memory is the last k-1 columns.
-    No path of semilength <= order reaches order+1 or holds order+1 valleys
-    in a run, so the class is counted at (min(h, order+1), min(k, order+2)).
+    The class is counted at ``params.clamped(order)``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    params = ClassParams(min(params.h, order + 1), min(params.k, order + 2))
+    params = params.clamped(order)
     return _counts(params, _columns(params, order))

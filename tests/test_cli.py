@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -286,6 +287,14 @@ class TestVerify:
         for row, want in zip(rows, expected):
             assert row["eco"] == row["rule"] == row["series"] == row["brute"] == want
 
+    def test_acceptance_grid_agrees_far_past_the_default_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "--h", "4..7", "--k", "3..5", "--n-max", "60",
+                             "--cap", "60")
+        lines = out.splitlines()
+        assert (code, err) == (0, "")
+        assert len(lines) == 4 * 3 * 61 == 732
+        assert all(line.endswith(" ok") for line in lines)
+
 
 class TestRoutes:
     @pytest.mark.parametrize("name", list(cli.ROUTES))
@@ -297,6 +306,18 @@ class TestRoutes:
     def test_answers_h1_and_h2(self, name):
         for params in (ClassParams(h, k) for h in (1, 2) for k in range(2, 6)):
             assert list(cli.ROUTES[name](params, 10)) == cli.ROUTES["brute"](params, 10), params
+
+    @pytest.mark.parametrize("name", list(cli.ROUTES))
+    def test_huge_bounds_cost_nothing(self, name):
+        """Every route counts to n at the bounds clamped at (n+1, n+2)."""
+        tracemalloc.start()
+        try:
+            counts = cli.ROUTES[name](ClassParams(10**6, 10**6), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(counts) == [1, 1, 2, 5, 14, 42]
+        assert peak < 1 << 20
 
 
 def _rule_off_by_one_at_nmax(params, nmax):

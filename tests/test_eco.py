@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
@@ -644,10 +645,12 @@ def _assert_grids_match_dp(h_lo, h_hi, nmaxes):
 
 def _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax) -> tuple[list, list]:
     """((depth, h, k, first L steps), paths), sorted, of every state whose child counts
-    ``grid_totals_upto`` reads, L = h_hi + 2k_hi - 4, and the depths of the children ``_grow``
-    builds for them.  A merged state comes as a dict of its paths; a whole path counts one."""
+    ``grid_totals_upto`` reads, L = h_hi + 2k_hi - 4 at the bounds clamped at nmax, and the
+    depths of the children ``_grow`` builds for them.  A merged state comes as a dict of its
+    paths; a whole path counts one."""
     child_counts, grow, read, grown = eco._child_counts, eco._grow, [], []
-    cut = h_hi + 2 * k_hi - 4
+    hi = ClassParams(h_hi, k_hi).clamped(nmax)
+    cut = hi.h + 2 * hi.k - 4
 
     def reading(block, n2, h, k):
         read.extend(((n2 // 2, h, k, bits >> max(n2 - cut, 0)),
@@ -746,13 +749,14 @@ class TestGrid:
 
     @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi", [(4, 4, 3, 3), (1, 3, 2, 4), (4, 7, 3, 5)])
     def test_count_builds_the_paths_that_can_reach_a_full_run(self, monkeypatch, h_lo, h_hi, k_lo, k_hi):
-        """Exactly the paths that can reach a full run before nmax are read, once per depth, cell
-        and first L steps: no path at depth nmax is grown or read, and no child at a site below
-        s0 is built."""
-        walked = _walked(h_lo, h_hi, k_lo, k_hi, 10)
+        """Exactly the paths of the tree clamped at nmax that can reach a full run before nmax are
+        read, once per depth, cell and first L steps: no path at depth nmax is grown or read, and
+        no child at a site below s0 is built."""
         for nmax in range(12):
+            lo, hi = ClassParams(h_lo, k_lo).clamped(nmax), ClassParams(h_hi, k_hi).clamped(nmax)
+            walked = _walked(lo.h, hi.h, lo.k, hi.k, 10)
             read, grown = _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
-            assert read == _merged(_to_build(walked, nmax), h_hi + 2 * k_hi - 4), nmax
+            assert read == _merged(_to_build(walked, nmax), hi.h + 2 * hi.k - 4), nmax
             assert all(depth < nmax for depth in grown), nmax
 
     def test_far_past_the_cap_the_count_matches_dp(self):
@@ -794,6 +798,21 @@ class TestGrid:
                             [[sums[m][i] for m in range(nmax + 1)] for i in range(len(chain))], \
                             (h_hi, k_lo, k_hi, nmax)
 
+    def test_huge_grid_shares_the_clamped_rows(self):
+        tracemalloc.start()
+        try:
+            grid = grid_totals_upto(4, 200_000, 3, 3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert len(grid) == 199_997 and grid[0] == [[1, 1, 2, 5]]
+        assert all(rows is grid[0] for rows in grid)  # h_lo = 4 is already the clamp, n + 1
+        grid = grid_totals_upto(1, 10, 2, 10, 3)  # clamped at (4, 5)
+        assert all(grid[h - 1] is grid[3] for h in range(5, 11))
+        assert all(grid[h - 1][k - 2] is grid[h - 1][3] for h in range(1, 11) for k in range(6, 11))
+        assert grid[3][3] == brute_counts_upto(ClassParams(4, 5), 3)
+
     def test_blocks_of_three_split_a_cells_list(self, monkeypatch):
         monkeypatch.setattr(eco, "BLOCK", 3)
         grid = grid_totals_upto(1, 5, 2, 4, 10)
@@ -805,6 +824,27 @@ class TestGrid:
         (0, 3, 3, 4, 5), (5, 4, 3, 4, 5), (4, 5, 1, 4, 5), (4, 5, 4, 3, 5), (4, 5, 3, 4, -1)])
     def test_errors_are_raised_before_any_work(self, monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax):
         _assert_no_work(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
+
+
+class TestClampWitness:
+    """The real tree of every cell, walked at its unclamped bounds, against the clamped walk and
+    count: to depth n no h past n+1 or k past n+2 changes a block or a count."""
+
+    def test_grid_counts_the_real_tree_of_every_cell(self):
+        grids = [grid_totals_upto(1, 9, 2, 9, nmax) for nmax in range(8)]
+        for h in range(1, 10):
+            for k in range(2, 10):
+                real = Counter(m for m, _, _, block in eco._walk(h, h, k, k, 7) for _ in block)
+                for nmax, grid in enumerate(grids):
+                    assert grid[h - 1][k - 2] == [real[m] for m in range(nmax + 1)], (h, k, nmax)
+
+    def test_walk_lists_the_real_tree_in_its_order(self):
+        for h in range(1, 10):
+            for k in range(2, 10):
+                params = ClassParams(h, k)
+                for n in range(8):
+                    real = [(m, block) for m, _, _, block in eco._walk(h, h, k, k, n)]
+                    assert list(walk(params, n)) == real, (h, k, n)
 
 
 class _GrowthTree:
