@@ -238,11 +238,16 @@ def _cmd_verify(args) -> int:
     failed = []
 
     def rows():
+        shared = {}  # clamped cell -> rule, series, DP; an h past n_max + 1 has the last h's cells
         for h, eco_h in zip(range(h_lo, h_hi + 1), eco_counts):
+            if h <= args.n_max + 1:
+                shared = {}
             for k, eco_hk in zip(range(k_lo, k_hi + 1), eco_h):
-                params = ClassParams(h, k)
-                columns = (eco_hk if name == "eco" else route(params, args.n_max)
-                           for name, route in ROUTES.items())
+                cell = ClassParams(h, k).clamped(args.n_max)
+                if cell not in shared:
+                    shared[cell] = {name: route(cell, args.n_max) for name, route in ROUTES.items()
+                                    if name != "eco"}
+                columns = (eco_hk if name == "eco" else shared[cell][name] for name in ROUTES)
                 for n, row in enumerate(zip(*columns)):
                     counts = dict(zip(ROUTES, row))
                     ok = len(set(row)) == 1

@@ -17,7 +17,7 @@ one by :func:`_raised`: the child that lengthens a saturated run of
 valleys goes to the next cell, and the child above a full up-run goes
 to the next h.  Child i has up-run i+1, so the count builds only the
 paths whose subtree can reach a full run, counts the rest by up-run,
-and merges paths on their first h_hi + 2k_hi - 4 steps, all it reads.
+and merges a cell's paths on their first h + 2k - 4 steps, all it reads.
 The walk and the count to n clamp (h, k) at (n+1, n+2): no cost past them.
 Label dynamics reproduce the counts without touching a concrete path.
 
@@ -237,6 +237,11 @@ def _add(sums: dict[int, int], keys: Iterable[int], weights: Iterable[int]) -> d
     return sums
 
 
+def _window(h: int, k: int) -> int:
+    """w = h + 2k - 4: the first steps of a path in the cell (h, k) that :func:`_count` reads."""
+    return h + 2 * k - 4
+
+
 def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo: int, h_hi: int,
            k_lo: int, k_hi: int) -> list[list[list[int]]]:
     """Counts [h - h_lo][k - k_lo][n <= nmax] of ``fragment``'s paths, at depth m0 and keyed by
@@ -245,16 +250,19 @@ def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo:
     Child i of a parent at depth nmax - r in (hm, km) has up-run i+1, so below it no full
     run comes before nmax if i < s0 = max(hm - r + 1, 0).  Such children are tallied by
     min(c, s0), c the parent's child count, and expanded from :func:`_below` at the end, as
-    is a raised child of up-run u at depth m in (h, k) if u + nmax - m <= h.  Every step
-    read lies in the first L = h_hi + 2k_hi - 4 steps: a longer path is cut to them, the
-    rest set to 0, and merged per depth and cell into a level of {prefix: paths}, taken up
-    shallowest first once no whole path is left.  Whole paths go depth first, a step
-    growing up to BLOCK of one depth's parents across cells.
+    is a raised child of up-run u at depth m in (h, k) if u + nmax - m <= h.  Of a path in
+    (h, k) the count reads the up-run, the head U^h D and the saturated head U^h (DU)^(k-2),
+    all in its first w = h + 2k - 4 steps: a longer path is cut to them, the rest set to 0,
+    and merged per depth and cell into a level of {prefix: paths}, taken up shallowest first
+    once no whole path is left.  The cut is exact: a child kept in (h, k) is UU and its
+    parent's first w - 2 steps, one raised to (h, k+1) UU and its parent's first w, its own
+    window, and one raised to (h+1, k_lo) needs fewer.  At k = 2 the window is U^h, and a
+    class path that begins U^h takes a D next, the 0 the cut pads with.  Whole paths go
+    depth first, a step growing up to BLOCK of one depth's parents across cells.
     """
-    cut = h_hi + 2 * k_hi - 4  # L
     rows = defaultdict(lambda: [0] * (nmax + 1))  # rows[h, k][m]: paths at depth m, least cell (h, k)
     tally = Counter()  # (h, k, m, q): parents at depth m, least cell (h, k), with q children tallied
-    levels = defaultdict(lambda: defaultdict(dict))  # levels[m][h, k][prefix]: paths, for 2m > L
+    levels = defaultdict(lambda: defaultdict(dict))  # levels[m][h, k][prefix]: paths, 2m > w
 
     def keep(m, h, k, paths, weights, kids, q=0):
         """Counts paths at depth m in (h, k), and tallies them by ``q`` or keeps them below nmax."""
@@ -262,10 +270,10 @@ def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo:
         rows[h, k][m] += n
         if q:
             tally[h, k, m, q] += n
-        elif paths and m < nmax and 2 * m <= cut:
+        elif paths and m < nmax and 2 * m <= (w := _window(h, k)):
             kids.setdefault((h, k), []).extend(paths)
         elif paths and m < nmax:
-            drop = -(1 << 2 * m - cut)  # keeps the first L steps
+            drop = -(1 << 2 * m - w)  # keeps the first w steps
             _add(levels[m][h, k], [bits & drop for bits in paths], weights or repeat(1))
 
     stack = [(m0, {})]
@@ -276,7 +284,7 @@ def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo:
         step, room = [], BLOCK
         while frag and room > 0:
             (h, k), paths = frag.popitem()
-            if len(paths) > room and 2 * m <= cut:  # a level's cell is taken whole
+            if len(paths) > room and 2 * m <= _window(h, k):  # a level's cell is taken whole
                 frag[h, k], paths = paths[room:], paths[:room]
             step.append((h, k, paths))
             room -= len(paths)
@@ -284,7 +292,7 @@ def _count(fragment: dict[tuple[int, int], list[int]], m0: int, nmax: int, h_lo:
             stack.append((m, frag))
         n2, r, kids = 2 * m, nmax - m, {}
         for hm, km, parents in step:
-            weights = parents.values() if n2 > cut else None  # None: whole paths, one each
+            weights = parents.values() if n2 > _window(hm, km) else None  # None: whole, one each
             counts = _child_counts(parents, n2, hm, km)
             s0 = max(hm - r + 1, 0)
             if s0:
@@ -315,8 +323,8 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     A cell's tree is the part of the (h_hi, k_hi) tree whose paths have a
     least cell no later on :func:`_walk`'s chain: one running sum over the
     chain.  Only the paths whose subtree can reach a full up-run before depth
-    nmax are built, those past h_hi + 2k_hi - 4 steps cut to them and merged;
-    the others are counted by up-run (:func:`_count`).  Past ``ClassParams.clamped``
+    nmax are built, those in (h, k) past h + 2k - 4 steps cut to them and
+    merged; the others are counted by up-run (:func:`_count`).  Past ``ClassParams.clamped``
     a cell shares its clamped cell's row, and an h its clamped h's list of rows.
     """
     lo = ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2

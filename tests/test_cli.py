@@ -295,6 +295,21 @@ class TestVerify:
         assert len(lines) == 4 * 3 * 61 == 732
         assert all(line.endswith(" ok") for line in lines)
 
+    def test_each_route_counts_each_clamped_cell_once(self, capsys, monkeypatch):
+        calls = {name: [] for name in cli.ROUTES}
+        for name, route in list(cli.ROUTES.items()):
+            monkeypatch.setitem(cli.ROUTES, name, lambda params, nmax, name=name, route=route:
+                                calls[name].append((params.h, params.k, nmax)) or route(params, nmax))
+        code, out, err = run(capsys, "verify", "--h", "4..40", "--k", "3..9", "--n-max", "3")
+        lines = out.splitlines()
+        assert (code, err) == (0, "")
+        assert len(lines) == 37 * 7 * 4 and all(line.endswith(" ok") for line in lines)
+        assert lines[-4:] == [f"h=40 k=9 n={n} eco={c} rule={c} series={c} brute={c} ok"
+                              for n, c in enumerate([1, 1, 2, 5])]
+        # clamped at n = 3: h 4, k 3 .. 5; the eco column comes from one grid count
+        assert calls == {"eco": [], **{name: [(4, 3, 3), (4, 4, 3), (4, 5, 3)]
+                                       for name in ("rule", "series", "brute")}}
+
 
 class TestRoutes:
     @pytest.mark.parametrize("name", list(cli.ROUTES))

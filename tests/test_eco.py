@@ -451,7 +451,7 @@ def _built_below(block: list[int], m: int, hm: int, km: int, nmax: int, h_hi: in
 class TestCountBelowTheWalk:
     """_count from one walked block equals the block's subtree built down to depth nmax: the
     children it tallies and expands from _below, and the ones it builds, split into steps or,
-    past L = h_hi + 2k_hi - 4 steps, cut to L and merged (on entry too)."""
+    past their cell's window of h + 2k - 4 steps, cut to it and merged (on entry too)."""
 
     @pytest.mark.parametrize("h_lo", [1, 2, 4])
     def test_every_walked_block(self, h_lo):
@@ -460,7 +460,7 @@ class TestCountBelowTheWalk:
             for k_hi in range(2, 7):
                 chain = [(h, k) for h in range(h_lo, h_hi + 1) for k in range(2, k_hi + 1)]
                 for m, hm, km, block in eco._walk(h_lo, h_hi, 2, k_hi, 7):
-                    cut_on_entry += 2 * m > h_hi + 2 * k_hi - 4
+                    cut_on_entry += 2 * m > hm + 2 * km - 4
                     nmax = m + 1 + m % 4  # 1 to 4 levels below the block
                     built = _built_below(block, m, hm, km, nmax, h_hi, 2, k_hi)
                     want = [list(accumulate(built[h, k, d] for h, k in chain)) for d in range(nmax + 1)]
@@ -644,16 +644,13 @@ def _assert_grids_match_dp(h_lo, h_hi, nmaxes):
 
 
 def _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax) -> tuple[list, list]:
-    """((depth, h, k, first L steps), paths), sorted, of every state whose child counts
-    ``grid_totals_upto`` reads, L = h_hi + 2k_hi - 4 at the bounds clamped at nmax, and the
-    depths of the children ``_grow`` builds for them.  A merged state comes as a dict of its
-    paths; a whole path counts one."""
+    """((depth, h, k, first h + 2k - 4 steps), paths), sorted, of every state whose child counts
+    ``grid_totals_upto`` reads, and the depths of the children ``_grow`` builds for them.  A
+    merged state comes as a dict of its paths; a whole path counts one."""
     child_counts, grow, read, grown = eco._child_counts, eco._grow, [], []
-    hi = ClassParams(h_hi, k_hi).clamped(nmax)
-    cut = hi.h + 2 * hi.k - 4
 
     def reading(block, n2, h, k):
-        read.extend(((n2 // 2, h, k, bits >> max(n2 - cut, 0)),
+        read.extend(((n2 // 2, h, k, bits >> max(n2 - (h + 2 * k - 4), 0)),
                      block[bits] if isinstance(block, dict) else 1) for bits in block)
         return child_counts(block, n2, h, k)
 
@@ -677,10 +674,11 @@ def _to_build(walked: list, nmax: int) -> list:
         m == 0 or eco._up_run(bits, 2 * m) + nmax - m > h)]
 
 
-def _merged(paths: list, cut: int) -> list:
-    """``paths`` as the count must read them: one state per depth, cell and first ``cut`` steps,
-    with the number of paths it stands for, sorted."""
-    return sorted(Counter((m, h, k, bits >> max(2 * m - cut, 0)) for m, h, k, bits in paths).items())
+def _merged(paths: list) -> list:
+    """``paths`` as the count must read them: one state per depth, cell (h, k) and first
+    h + 2k - 4 steps, the cell's window, with the number of paths it stands for, sorted."""
+    return sorted(Counter((m, h, k, bits >> max(2 * m - (h + 2 * k - 4), 0))
+                          for m, h, k, bits in paths).items())
 
 
 def _walked(h_lo, h_hi, k_lo, k_hi, n) -> list:
@@ -740,24 +738,32 @@ class TestGrid:
         walked = _walked(4, 7, 3, 5, 11)
         assert len(walked) == 81_231
         assert sum(brute_counts_upto(ClassParams(7, 5), 11)) == 81_231
-        # the count to n = 12 reads the paths that can reach a full run, merged on their first
-        # L = 7 + 2*5 - 4 = 13 steps: 3,208 states for 17,721 paths
+        # the count to n = 12 reads the paths that can reach a full run, each merged on its
+        # cell's first h + 2k - 4 steps: 435 states for 17,721 paths
         read, _ = _built_by_the_count(monkeypatch, 4, 7, 3, 5, 12)
-        assert read == _merged(_to_build(walked, 12), 13)
-        assert len(read) == 3_208
+        assert read == _merged(_to_build(walked, 12))
+        assert len(read) == 435
         assert sum(paths for _, paths in read) == 17_721
 
     @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi", [(4, 4, 3, 3), (1, 3, 2, 4), (4, 7, 3, 5)])
     def test_count_builds_the_paths_that_can_reach_a_full_run(self, monkeypatch, h_lo, h_hi, k_lo, k_hi):
         """Exactly the paths of the tree clamped at nmax that can reach a full run before nmax are
-        read, once per depth, cell and first L steps: no path at depth nmax is grown or read, and
-        no child at a site below s0 is built."""
+        read, once per depth, cell and its window of first steps: no path at depth nmax is grown
+        or read, and no child at a site below s0 is built."""
         for nmax in range(12):
             lo, hi = ClassParams(h_lo, k_lo).clamped(nmax), ClassParams(h_hi, k_hi).clamped(nmax)
             walked = _walked(lo.h, hi.h, lo.k, hi.k, 10)
             read, grown = _built_by_the_count(monkeypatch, h_lo, h_hi, k_lo, k_hi, nmax)
-            assert read == _merged(_to_build(walked, nmax), hi.h + 2 * hi.k - 4), nmax
+            assert read == _merged(_to_build(walked, nmax)), nmax
             assert all(depth < nmax for depth in grown), nmax
+
+    def test_every_window_is_tight(self, monkeypatch):
+        """One step shorter, any one cell's window, or all of them, miscounts the acceptance grid."""
+        cells = [(h, k) for h in range(4, 8) for k in range(3, 6)]
+        want = [[brute_counts_upto(ClassParams(h, k), 12) for k in range(3, 6)] for h in range(4, 8)]
+        for short in [[cell] for cell in cells] + [cells]:
+            monkeypatch.setattr(eco, "_window", lambda h, k: h + 2 * k - 4 - ((h, k) in short))
+            assert grid_totals_upto(4, 7, 3, 5, 12) != want, short
 
     def test_far_past_the_cap_the_count_matches_dp(self):
         grid = grid_totals_upto(4, 7, 3, 5, 30)

@@ -171,6 +171,34 @@ class TestBruteCount:
             brute_counts_upto(params, -1)
 
 
+def _continued_fraction(h: int, k: int, order: int) -> list[int]:
+    """c_{h-2}/c_{h-1} to x^order, from c_{-1} = 1 - x^k, c_0 = 1 - x and
+    c_j = c_{j-1} - x c_{j-2}, every c_j truncated after x^order; c_j(0) = 1."""
+    size = order + 1
+    c = [([1] + [0] * (k - 1) + [-1] + [0] * size)[:size], ([1, -1] + [0] * size)[:size]]
+    for _ in range(h - 1):
+        c.append([a - b for a, b in zip(c[-1], [0] + c[-2])])
+    num, den, out = c[-2], c[-1], []
+    for n in range(size):
+        out.append(num[n] - sum(den[j] * out[n - j] for j in range(1, n + 1)))
+    return out
+
+
+class TestContinuedFraction:
+    """Above level h-2 a path of height <= h holds only blocks (UD)^j at level h-1, each with
+    j-1 adjacent valleys at h-1, so the class is Flajolet's continued fraction of depth h with
+    the last level 1 + x + ... + x^{k-1}.  Its expansion counts the listed Dyck paths that
+    ``is_in_class`` admits: the decomposition checked against the listing, not the DP."""
+
+    def test_expands_to_the_filtered_listing(self):
+        levels = [enumerate_dyck(n) for n in range(10)]
+        for h in range(1, 7):
+            for k in range(2, 6):
+                params = ClassParams(h, k)
+                expected = [sum(is_in_class(p, params) for p in level) for level in levels]
+                assert _continued_fraction(h, k, 9) == expected, (h, k)
+
+
 class TestMergedStates:
     """The merged states against the dict DP, deep cells, and where the clamp on h and k acts."""
 
