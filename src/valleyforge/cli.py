@@ -16,7 +16,7 @@ from itertools import islice
 
 from . import __version__, eco, identity, oracle, series
 from .errors import ValleyforgeError
-from .paths import ClassParams, height
+from .paths import ClassParams, clamped_grid, height
 
 
 # ---------------------------------------------------------------------------
@@ -28,9 +28,9 @@ from .paths import ClassParams, height
 # (h, k) and raises ValueError for a negative nmax.  The entries are lambdas
 # that look their function up in its module at call time, so perfbench's
 # tracer and the tests' monkeypatches, which replace module attributes, see
-# the calls.  verify does not call the eco entry: it counts its whole grid
-# of cells from one walk of the largest tree, eco.grid_totals_upto.  Only eco
-# lists paths, so the commands that run it check the listing cap first.
+# the calls.  verify runs each other entry once per clamped cell through
+# paths.clamped_grid, and counts eco's grid from one tree, eco.grid_totals_upto.
+# Only eco lists paths, so the commands that run it check the listing cap first.
 ROUTES = {
     "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
@@ -234,20 +234,14 @@ def _cmd_verify(args) -> int:
     (h_lo, h_hi), (k_lo, k_hi) = args.h, args.k
     ClassParams(h_lo, k_lo)  # the lowest bounds: refuses a bad grid before the cap is checked
     oracle.check_cap(args.n_max, args.cap)
-    eco_counts = eco.grid_totals_upto(h_lo, h_hi, k_lo, k_hi, args.n_max)
+    grid = (h_lo, h_hi, k_lo, k_hi, args.n_max)
+    grids = [eco.grid_totals_upto(*grid), *(clamped_grid(*grid, lambda cell: route(cell, args.n_max))
+                                            for name, route in ROUTES.items() if name != "eco")]
     failed = []
 
     def rows():
-        shared = {}  # clamped cell -> rule, series, DP; an h past n_max + 1 has the last h's cells
-        for h, eco_h in zip(range(h_lo, h_hi + 1), eco_counts):
-            if h <= args.n_max + 1:
-                shared = {}
-            for k, eco_hk in zip(range(k_lo, k_hi + 1), eco_h):
-                cell = ClassParams(h, k).clamped(args.n_max)
-                if cell not in shared:
-                    shared[cell] = {name: route(cell, args.n_max) for name, route in ROUTES.items()
-                                    if name != "eco"}
-                columns = (eco_hk if name == "eco" else shared[cell][name] for name in ROUTES)
+        for h, grid_h in zip(range(h_lo, h_hi + 1), zip(*grids)):
+            for k, columns in zip(range(k_lo, k_hi + 1), zip(*grid_h)):
                 for n, row in enumerate(zip(*columns)):
                     counts = dict(zip(ROUTES, row))
                     ok = len(set(row)) == 1
@@ -284,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_int, required=True)
     p.add_argument("--k", type=_parse_int, required=True)
     p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--method", choices=["eco", "brute", "rule", "series"],
+    p.add_argument("--method", choices=ROUTES,
                    help="the route to count by; optional with --cross-check")
     p.add_argument("--cross-check", action="store_true", help="count by all four routes and compare")
     p.set_defaults(func=_cmd_count)

@@ -39,7 +39,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .errors import EmptyPath, NotInClass
-from .paths import EMPTY_PATH, ClassParams, DyckPath, is_in_class
+from .paths import EMPTY_PATH, ClassParams, DyckPath, clamped_grid, is_in_class
 
 
 def _up_run(bits: int, n2: int) -> int:
@@ -324,8 +324,8 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     least cell no later on :func:`_walk`'s chain: one running sum over the
     chain.  Only the paths whose subtree can reach a full up-run before depth
     nmax are built, those in (h, k) past h + 2k - 4 steps cut to them and
-    merged; the others are counted by up-run (:func:`_count`).  Past ``ClassParams.clamped``
-    a cell shares its clamped cell's row, and an h its clamped h's list of rows.
+    merged; the others are counted by up-run (:func:`_count`).  Past ``ClassParams.clamped`` a
+    cell shares its clamped cell's row, and an h its clamped h's list, through :func:`clamped_grid`.
     """
     lo = ClassParams(h_lo, k_lo)  # refuses h_lo < 1 and k_lo < 2
     if h_hi < h_lo:
@@ -333,9 +333,8 @@ def grid_totals_upto(h_lo: int, h_hi: int, k_lo: int, k_hi: int, nmax: int) -> l
     if k_hi < k_lo:
         raise ValueError(f"empty k range {k_lo}..{k_hi}")
     lo, hi = lo.clamped(nmax), ClassParams(h_hi, k_hi).clamped(nmax)
-    grid = [[rows[min(k, hi.k) - lo.k] for k in range(k_lo, k_hi + 1)]
-            for rows in _count({(lo.h, lo.k): [EMPTY_PATH.bits]}, 0, nmax, lo.h, hi.h, lo.k, hi.k)]
-    return [grid[min(h, hi.h) - lo.h] for h in range(h_lo, h_hi + 1)]
+    rows = _count({(lo.h, lo.k): [EMPTY_PATH.bits]}, 0, nmax, lo.h, hi.h, lo.k, hi.k)
+    return clamped_grid(h_lo, h_hi, k_lo, k_hi, nmax, lambda cell: rows[cell.h - lo.h][cell.k - lo.k])
 
 
 def tree_totals_upto(params: ClassParams, nmax: int) -> list[int]:

@@ -79,6 +79,16 @@ class ClassParams:
         return ClassParams(min(self.h, n + 1), min(self.k, n + 2))
 
 
+def clamped_grid(h_lo: int, h_hi: int, k_lo: int, k_hi: int, n: int, count) -> list[list]:
+    """``count(cell)`` for each (h, k) of the grid, indexed [h - h_lo][k - k_lo], called once per
+    cell of ``ClassParams.clamped(n)``: a cell past the clamp holds its clamped cell's object, and
+    an h past it its clamped h's list."""
+    lo, hi = ClassParams(h_lo, k_lo).clamped(n), ClassParams(h_hi, k_hi).clamped(n)
+    rows = ([count(ClassParams(h, k)) for k in range(lo.k, hi.k + 1)] for h in range(lo.h, hi.h + 1))
+    grid = [[row[min(k, hi.k) - lo.k] for k in range(k_lo, k_hi + 1)] for row in rows]
+    return [grid[min(h, hi.h) - lo.h] for h in range(h_lo, h_hi + 1)]
+
+
 def parse_path(word: str) -> DyckPath:
     """Parse an uppercase 'U'/'D' word into a validated DyckPath."""
     n = word.count("U")

@@ -449,6 +449,16 @@ class TestOutOfMemory:
         code, out, err = run(capsys, "verify", "--h", "4..5", "--k", "3", "--n-max", "3")
         assert (code, out, err) == (2, "", "error: out of memory running verify; try smaller sizes\n")
 
+    def test_verify_counts_every_route_before_its_first_row(self, capsys, monkeypatch):
+        def series_route(params, nmax, route=cli.ROUTES["series"]):
+            if (params.h, params.k) == (7, 5):
+                raise MemoryError
+            return route(params, nmax)
+
+        monkeypatch.setitem(cli.ROUTES, "series", series_route)
+        code, out, err = run(capsys, "verify", "--h", "4..7", "--k", "3..5", "--n-max", "6")
+        assert (code, out, err) == (2, "", "error: out of memory running verify; try smaller sizes\n")
+
     def test_count_route(self, capsys, monkeypatch):
         monkeypatch.setattr(series, "f_series", self._exhausted)
         code, out, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "5", "--method", "series")

@@ -217,6 +217,8 @@ class TestInvertFirstPeak:
 class TestRuleCounts:
     def test_axiom(self):
         assert rule_counts(H4K3, 0) == {"(1)": 1}
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rule_counts(H4K3, -1)
 
     def test_first_step(self):
         assert rule_counts(H4K3, 1) == {"(2)": 1}

@@ -16,6 +16,7 @@ from valleyforge.paths import (
     ClassParams,
     DyckPath,
     catalan,
+    clamped_grid,
     height,
     is_in_class,
     max_valley_run_at_height,
@@ -317,6 +318,31 @@ class TestClassParams:
             ClassParams(0, 2)
         with pytest.raises(ValueError):
             ClassParams(3, 1)
+
+
+class TestClampedGrid:
+    # Inside the clamp; h_lo past n + 1; k_lo past n + 2; both ranges crossing it.
+    @pytest.mark.parametrize("h_lo,h_hi,k_lo,k_hi,n,cells", [
+        (2, 4, 2, 3, 5, [(h, k) for h in (2, 3, 4) for k in (2, 3)]),
+        (7, 30, 3, 4, 5, [(6, 3), (6, 4)]),
+        (2, 3, 9, 40, 5, [(2, 7), (3, 7)]),
+        (1, 10, 2, 10, 3, [(h, k) for h in range(1, 5) for k in range(2, 6)]),
+    ])
+    def test_counts_each_clamped_cell_once(self, h_lo, h_hi, k_lo, k_hi, n, cells):
+        calls, made = [], {}  # made: clamped cell -> the object count returned for it
+
+        def count(cell):
+            calls.append(cell)
+            made[cell] = [cell]
+            return made[cell]
+
+        grid = clamped_grid(h_lo, h_hi, k_lo, k_hi, n, count)
+        assert calls == [ClassParams(h, k) for h, k in cells]
+        assert len(grid) == h_hi - h_lo + 1
+        for h, row in enumerate(grid, h_lo):
+            assert row is grid[max(min(h, n + 1), h_lo) - h_lo]  # an h past the clamp: its clamped h's list
+            assert len(row) == k_hi - k_lo + 1
+            assert all(value is made[ClassParams(h, k).clamped(n)] for k, value in enumerate(row, k_lo))
 
 
 class TestCatalan:
