@@ -1,15 +1,15 @@
 """Command-line interface: counting, generation, series, identity, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
-or out of memory.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
+out of memory, or stdout closed before the output was written.
 All output is deterministic: fixed orderings, plain decimal integers.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from collections import Counter
 from itertools import islice
@@ -103,6 +103,8 @@ def _emit(fmt: str, items, record, line, json_text=None) -> None:
             sep = ", "
         sys.stdout.write("[]\n" if sep == "[" else "]\n")
     elif fmt == "csv":
+        import csv  # its one user, so the other forms never load it
+
         w = csv.writer(sys.stdout)
         for i, item in enumerate(items):
             row = record(item)
@@ -320,12 +322,20 @@ def main(argv: list[str] | None = None) -> int:
     max_digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, in the handler below, not at exit
+        return code
     except (ValleyforgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"error: out of memory running {args.command}; try smaller sizes", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # what is left in the buffer goes nowhere at exit
+        os.close(devnull)
+        print(f"error: stdout closed before {args.command} finished writing", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(max_digits)

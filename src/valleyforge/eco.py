@@ -34,9 +34,9 @@ suffix sums.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice, repeat
 from operator import add
-from typing import Iterable, Iterator
 
 from .errors import EmptyPath, NotInClass
 from .paths import EMPTY_PATH, ClassParams, DyckPath, clamped_grid, is_in_class

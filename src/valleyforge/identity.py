@@ -25,8 +25,8 @@ from the two before, in O(H^2) additions in all (``catalan_recurrence_rows``).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from operator import mul, sub
-from typing import Callable, Iterator
 
 from .paths import catalan_upto
 from .series import build_S, counting_numerator

@@ -11,14 +11,46 @@ h-1 with ``max_valley_run_at_height``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import BadSymbol, NegativePrefix, UnbalancedWord
 
 
-@dataclass(frozen=True, order=False, init=False)
-class DyckPath:
+class _Value:
+    """Read-only slots, printed, compared, hashed and copied as the tuple of their values.
+
+    Each subclass lists its fields in ``__slots__`` and stores them through
+    the slots' own setters.  Equality holds only between instances of one
+    class.  Pickle and ``copy`` rebuild an instance through its constructor,
+    since the slots refuse to be set.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DyckPath(_Value):
     """Immutable balanced U/D step sequence with nonnegative prefixes.
 
     ``bits``, the one field, packs the steps (U=1, D=0, first step most
@@ -27,15 +59,11 @@ class DyckPath:
     ``bits``; use :func:`parse_path` to build a path from untrusted text.
     """
 
-    __slots__ = ("bits",)  # by hand: under slots=True, setting semilength raises TypeError
-    bits: int
+    __slots__ = ("bits",)
     semilength = property(lambda self: self.bits.bit_length() >> 1)
 
     def __init__(self, bits: int) -> None:
-        _store_bits(self, bits)  # the slot's own setter, past the frozen __setattr__
-
-    def __reduce__(self):  # pickle through the constructor: a frozen slot cannot be set
-        return DyckPath, (self.bits,)
+        _store_bits(self, bits)  # the slot's own setter, past the read-only __setattr__
 
     @property
     def word(self) -> str:
@@ -53,22 +81,22 @@ _WORD = str.maketrans("10", "UD")
 _BITS = str.maketrans("UD", "10")
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(_Value):
     """The pair (h, k): height bound h, valley-run bound k.
 
     Paths in the class have height at most h and never contain k-1
     consecutive valleys at height h-1.
     """
 
-    h: int
-    k: int
+    __slots__ = ("h", "k")
 
-    def __post_init__(self) -> None:
-        if self.h < 1:
-            raise ValueError(f"h must be >= 1, got {self.h}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+    def __init__(self, h: int, k: int) -> None:
+        if h < 1:
+            raise ValueError(f"h must be >= 1, got {h}")
+        if k < 2:
+            raise ValueError(f"k must be >= 2, got {k}")
+        ClassParams.h.__set__(self, h)
+        ClassParams.k.__set__(self, k)
 
     def clamped(self, n: int) -> ClassParams:
         """(min(h, n+1), min(k, n+2)), the bounds every route that counts or walks to n takes: a

@@ -584,16 +584,40 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_process_pool():
-    """No command needs multiprocessing: importing the CLI and running verify with --jobs 2 load none."""
+    """Importing the CLI and running verify with --jobs 2 load no module no command needs:
+    no multiprocessing, no dataclasses or the inspect it imports, and no csv before a csv row."""
     argv = ["verify", "--h", "4..5", "--k", "3", "--n-max", "4", "--jobs", "2"]
+    unused = {"multiprocessing", "concurrent.futures.process", "dataclasses", "inspect", "csv"}
     child = ("import contextlib, io, sys\n"
              "from valleyforge.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              f"    assert main({argv!r}) == 0\n"
-             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+             f"print(sorted({unused!r} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           env=_child_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["generate", "--h", "5", "--k", "4", "--n", "11"], 10),
+    (["identity", "--h-min", "1", "--h-max", "300"], 10),
+    (["verify", "--h", "1..40", "--k", "2..9", "--n-max", "12"], 10),
+    (["count", "--h", "4", "--k", "3", "--n", "5", "--method", "brute"], 0),
+])
+def test_closed_stdout_exits_2(argv, read):
+    """A reader that stops early, as ``| head`` does, ends the command with exit 2 and one
+    error line, not a traceback.  Stdout is buffered, as it is by default: the first three
+    outputs are far longer than a pipe holds, and count's one line is still in the buffer
+    when the pipe closes."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "valleyforge", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(read)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == f"error: stdout closed before {argv[0]} finished writing\n"
 
 
 @pytest.mark.parametrize("route", ["oracle", "eco", "series"])

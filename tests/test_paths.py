@@ -3,7 +3,6 @@ import itertools
 import pickle
 import random
 import re
-from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,15 +96,17 @@ class TestParse:
         """Listings hold ~200k paths: no per-instance dict, fields still read-only."""
         p = parse_path("UUDD")
         assert not hasattr(p, "__dict__")
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.bits = 0
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.semilength = 3
-        assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == p
+        with pytest.raises(AttributeError):
+            del p.bits
+        assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == copy.deepcopy(p) == p
 
     def test_bits_is_the_only_field(self):
         """The semilength and the word are derived from the bits, never stored."""
-        assert [f.name for f in fields(DyckPath)] == ["bits"]
+        assert DyckPath.__slots__ == ("bits",)
         assert (DyckPath(0).word, DyckPath(0).semilength) == ("", 0)
         assert (DyckPath(0b1100).word, DyckPath(0b1100).semilength) == ("UUDD", 2)
         assert all(str(p) == p.word for p in (EMPTY_PATH, DyckPath(0b1100), DyckPath(0b110100)))
@@ -318,6 +319,24 @@ class TestClassParams:
             ClassParams(0, 2)
         with pytest.raises(ValueError):
             ClassParams(3, 1)
+
+    def test_value_semantics(self):
+        """A cell is a value: printed, compared and hashed by (h, k), read-only, and copied
+        through its constructor."""
+        p = ClassParams(h=7, k=5)
+        assert repr(p) == "ClassParams(h=7, k=5)"
+        assert p == ClassParams(7, 5) != ClassParams(7, 4)
+        assert p != (7, 5)
+        assert hash(p) == hash(ClassParams(7, 5)) == hash((7, 5))
+        assert not hasattr(p, "__dict__")
+        for name in ("h", "k", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert (p.h, p.k) == (7, 5)
+        copies = [pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)]
+        assert all(type(q) is ClassParams and q == p for q in copies)
 
 
 class TestClampedGrid:
