@@ -28,9 +28,10 @@ from .paths import ClassParams, clamped_grid, height
 # (h, k) and raises ValueError for a negative nmax.  The entries are lambdas
 # that look their function up in its module at call time, so perfbench's
 # tracer and the tests' monkeypatches, which replace module attributes, see
-# the calls.  verify runs each other entry once per clamped cell through
-# paths.clamped_grid, and counts eco's grid from one tree, eco.grid_totals_upto.
-# Only eco lists paths, so the commands that run it check the listing cap first.
+# the calls.  verify builds one grid per entry, in this order: eco's from one
+# tree, eco.grid_totals_upto, the others' by one call per clamped cell through
+# paths.clamped_grid.  The cap is the ECO count's only bound, though it builds
+# only part of the tree, so the commands that run eco check the cap first.
 ROUTES = {
     "eco": lambda params, nmax: eco.tree_totals_upto(params, nmax),
     "rule": lambda params, nmax: eco.rule_totals_upto(params, nmax),
@@ -237,8 +238,8 @@ def _cmd_verify(args) -> int:
     ClassParams(h_lo, k_lo)  # the lowest bounds: refuses a bad grid before the cap is checked
     oracle.check_cap(args.n_max, args.cap)
     grid = (h_lo, h_hi, k_lo, k_hi, args.n_max)
-    grids = [eco.grid_totals_upto(*grid), *(clamped_grid(*grid, lambda cell: route(cell, args.n_max))
-                                            for name, route in ROUTES.items() if name != "eco")]
+    grids = [eco.grid_totals_upto(*grid) if name == "eco" else
+             clamped_grid(*grid, lambda cell: route(cell, args.n_max)) for name, route in ROUTES.items()]
     failed = []
 
     def rows():
@@ -269,6 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     listing = argparse.ArgumentParser(add_help=False)
     listing.add_argument("--cap", type=_parse_int, default=oracle.DEFAULT_CAP,
                          help="semilength cap for listing paths (the eco route and generate)")
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--h", type=_parse_int, required=True)
+    cell.add_argument("--k", type=_parse_int, required=True)
 
     parser = argparse.ArgumentParser(prog="valleyforge",
                                      description="Counting and cross-verification of "
@@ -276,24 +280,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common, listing], help="count paths by one route")
-    p.add_argument("--h", type=_parse_int, required=True)
-    p.add_argument("--k", type=_parse_int, required=True)
+    p = sub.add_parser("count", parents=[common, listing, cell], help="count paths by one route")
     p.add_argument("--n", type=_parse_int, required=True)
     p.add_argument("--method", choices=ROUTES,
                    help="the route to count by; optional with --cross-check")
     p.add_argument("--cross-check", action="store_true", help="count by all four routes and compare")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("generate", parents=[common, listing], help="list all paths of one size")
-    p.add_argument("--h", type=_parse_int, required=True)
-    p.add_argument("--k", type=_parse_int, required=True)
+    p = sub.add_parser("generate", parents=[common, listing, cell], help="list all paths of one size")
     p.add_argument("--n", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("series", parents=[common], help="expand the counting series")
-    p.add_argument("--h", type=_parse_int, required=True)
-    p.add_argument("--k", type=_parse_int, required=True)
+    p = sub.add_parser("series", parents=[common, cell], help="expand the counting series")
     p.add_argument("--order", type=_parse_int, required=True)
     p.add_argument("--show-components", action="store_true")
     p.set_defaults(func=_cmd_series)
@@ -334,8 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader stopped early, as `| head` does
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())  # what is left in the buffer goes nowhere at exit
+        try:
+            print(f"error: stdout closed before {args.command} finished writing",
+                  file=sys.stderr, flush=True)
+        except BrokenPipeError:  # stderr shares the closed pipe, as after `2>&1 | head`
+            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        print(f"error: stdout closed before {args.command} finished writing", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(max_digits)

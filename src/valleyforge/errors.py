@@ -26,4 +26,5 @@ class NotInClass(ValleyforgeError):
 
 
 class CapExceeded(ValleyforgeError):
-    """Requested semilength exceeds the listing cap (ECO route, generate, enumerate_dyck)."""
+    """Requested semilength exceeds the cap: of listing (generate, enumerate_dyck), and the
+    only bound on the ECO count, which builds only part of the tree."""

@@ -80,8 +80,3 @@ def brute_counts_upto(params: ClassParams, nmax: int) -> list[int]:
         if step % 2 == 0:
             counts.append(low[0] + sum(down) if h == 1 else low[0])
     return counts
-
-
-def brute_count(params: ClassParams, n: int) -> int:
-    """Number of class paths of semilength n."""
-    return brute_counts_upto(params, n)[n]

@@ -351,6 +351,17 @@ class TestOddRouteOut:
         assert err == ("MISMATCH h=4 k=3 n=5: eco=41 rule=42 series=41 brute=41; "
                        "majority 41; rule differs by +1\n")
 
+    def test_verify_labels_columns_in_routes_order(self, capsys, monkeypatch):
+        """verify's columns follow ROUTES whatever its order, so eco may come last."""
+        routes = {name: cli.ROUTES[name] for name in ("brute", "series", "rule", "eco")}
+        monkeypatch.setattr(cli, "ROUTES", {**routes, "rule": _rule_off_by_one_at_nmax})
+        code, out, err = run(capsys, "verify", "--h", "4", "--k", "3", "--n-max", "5")
+        assert code == 1
+        assert out.splitlines()[-1] == "h=4 k=3 n=5 brute=41 series=41 rule=42 eco=41 FAIL"
+        assert out.count("FAIL") == 1
+        assert err == ("MISMATCH h=4 k=3 n=5: brute=41 series=41 rule=42 eco=41; "
+                       "majority 41; rule differs by +1\n")
+
     def test_cross_check_names_the_route(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.ROUTES, "rule", _rule_off_by_one_at_nmax)
         code, out, err = run(capsys, "count", "--h", "4", "--k", "3", "--n", "5",
@@ -585,17 +596,19 @@ def test_module_entry_point():
 
 def test_import_loads_no_process_pool():
     """Importing the CLI and running verify with --jobs 2 load no module no command needs:
-    no multiprocessing, no dataclasses or the inspect it imports, and no csv before a csv row."""
+    no multiprocessing, no dataclasses or the inspect it imports, and no csv before a csv row.
+    Under ``-S`` no typing either: ``site`` may load it, so only there is its absence seen."""
     argv = ["verify", "--h", "4..5", "--k", "3", "--n-max", "4", "--jobs", "2"]
     unused = {"multiprocessing", "concurrent.futures.process", "dataclasses", "inspect", "csv"}
-    child = ("import contextlib, io, sys\n"
-             "from valleyforge.cli import main\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    assert main({argv!r}) == 0\n"
-             f"print(sorted({unused!r} & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          env=_child_env(), timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    for flags, unloaded in (([], unused), (["-S"], unused | {"typing"})):
+        child = ("import contextlib, io, sys\n"
+                 "from valleyforge.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert main({argv!r}) == 0\n"
+                 f"print(sorted({unloaded!r} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, *flags, "-c", child], capture_output=True,
+                              text=True, env=_child_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), flags
 
 
 @pytest.mark.parametrize("argv,read", [
@@ -608,16 +621,18 @@ def test_closed_stdout_exits_2(argv, read):
     """A reader that stops early, as ``| head`` does, ends the command with exit 2 and one
     error line, not a traceback.  Stdout is buffered, as it is by default: the first three
     outputs are far longer than a pipe holds, and count's one line is still in the buffer
-    when the pipe closes."""
+    when the pipe closes.  With stderr on stdout's pipe, as after ``2>&1 | head``, the error
+    line is lost with it and the exit is still 2."""
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen([sys.executable, "-m", "valleyforge", *argv], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
-    proc.stdout.read(read)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
-    assert err.decode() == f"error: stdout closed before {argv[0]} finished writing\n"
+    line = f"error: stdout closed before {argv[0]} finished writing\n".encode()
+    for stderr, expected in ((subprocess.PIPE, line), (subprocess.STDOUT, None)):
+        proc = subprocess.Popen([sys.executable, "-m", "valleyforge", *argv],
+                                stdout=subprocess.PIPE, stderr=stderr, env=env)
+        proc.stdout.read(read)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, expected), stderr
 
 
 @pytest.mark.parametrize("route", ["oracle", "eco", "series"])

@@ -6,7 +6,7 @@ import pytest
 
 from valleyforge.eco import rule_totals_upto
 from valleyforge.identity import catalan_recurrence_rows, check_relation
-from valleyforge.oracle import brute_count, brute_counts_upto
+from valleyforge.oracle import brute_counts_upto
 from valleyforge.paths import ClassParams, catalan, catalan_upto, height_denominator
 from valleyforge.series import build_S, counting_numerator, f_series
 
@@ -133,7 +133,7 @@ class TestCheckRelation:
     @pytest.mark.parametrize("h,k", [(4, 6), (5, 7)])
     def test_passes_with_oracle(self, h, k):
         params = ClassParams(h, k)
-        assert check_relation(h, k, lambda n: brute_count(params, n)) == []
+        assert check_relation(h, k, lambda n: brute_counts_upto(params, n)[n]) == []
 
     def test_passes_with_series(self):
         params = ClassParams(5, 7)
@@ -150,7 +150,7 @@ class TestCheckRelation:
         # k <= h, and n >= h up to h+k-1, where the class counts leave Catalan
         for h, k in [(5, 5), (5, 3), (9, 2), (12, 4)]:
             params = ClassParams(h, k)
-            assert check_relation(h, k, lambda n, p=params: brute_count(p, n)) == [], (h, k)
+            assert check_relation(h, k, lambda n, p=params: brute_counts_upto(p, n)[n]) == [], (h, k)
 
     def test_h1(self):
         for k in range(2, 8):

@@ -4,10 +4,10 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valleyforge.eco import rule_counts, rule_totals_upto
+from valleyforge.eco import rule_counts, rule_totals_upto, tree_totals_upto
 from valleyforge.errors import CapExceeded
-from valleyforge.oracle import brute_count, brute_counts_upto, enumerate_dyck
-from valleyforge.paths import ClassParams, catalan, is_in_class
+from valleyforge.oracle import brute_counts_upto, enumerate_dyck
+from valleyforge.paths import ClassParams, catalan, catalan_upto, is_in_class
 from valleyforge.series import f_series
 
 
@@ -85,7 +85,7 @@ class TestEnumerate:
 class TestBruteCount:
     @pytest.mark.parametrize("n,expected", [(4, 14), (5, 41), (6, 121)])
     def test_h4k3_examples(self, n, expected):
-        assert brute_count(ClassParams(4, 3), n) == expected
+        assert brute_counts_upto(ClassParams(4, 3), n)[n] == expected
 
     def test_matches_filtered_enumeration(self):
         levels = [enumerate_dyck(n) for n in range(10)]
@@ -148,25 +148,25 @@ class TestBruteCount:
     def test_upto_consistent(self):
         params = ClassParams(5, 3)
         upto = brute_counts_upto(params, 10)
-        assert upto == [brute_count(params, n) for n in range(11)]
+        assert upto == [brute_counts_upto(params, n)[n] for n in range(11)]
 
     def test_catalan_below_h(self):
         for h, k in [(4, 3), (5, 2), (6, 4)]:
             params = ClassParams(h, k)
             for n in range(h + 1):
-                assert brute_count(params, n) == catalan(n)
+                assert brute_counts_upto(params, n)[n] == catalan(n)
 
     def test_monotone_in_h_and_k(self):
         n = 8
         for h in range(1, 7):
             for k in range(2, 6):
-                c = brute_count(ClassParams(h, k), n)
-                assert brute_count(ClassParams(h + 1, k), n) >= c
-                assert brute_count(ClassParams(h, k + 1), n) >= c
+                c = brute_counts_upto(ClassParams(h, k), n)[n]
+                assert brute_counts_upto(ClassParams(h + 1, k), n)[n] >= c
+                assert brute_counts_upto(ClassParams(h, k + 1), n)[n] >= c
 
     def test_no_listing_cap(self):
         params = ClassParams(4, 3)
-        assert brute_count(params, 15) == rule_totals_upto(params, 15)[15]
+        assert brute_counts_upto(params, 15)[15] == rule_totals_upto(params, 15)[15]
         with pytest.raises(ValueError):
             brute_counts_upto(params, -1)
 
@@ -231,3 +231,42 @@ class TestMergedStates:
             tracemalloc.stop()
         assert counts == [1, 1, 2, 5, 14, 42]
         assert peak < 1 << 20
+
+
+def _height_bounded_upto(h: int, nmax: int) -> list[int]:
+    """Dyck paths of height <= h for n = 0..nmax: a walk over the ordinates 0..h."""
+    row, counts = [1] + [0] * h, [1]
+    for step in range(1, 2 * nmax + 1):
+        row = [(row[o - 1] if o else 0) + (row[o + 1] if o < h else 0) for o in range(h + 1)]
+        if step % 2 == 0:
+            counts.append(row[0])
+    return counts
+
+
+class TestAffordableBox:
+    """Random cells far outside the fixed grids, which the clamp on h and k keeps cheap."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 200), st.integers(2, 60), st.integers(0, 300))
+    def test_routes_agree_and_laws_hold(self, h, k, nmax):
+        """The DP, the rule and the series agree at every n, and ECO to n = 60 where its window
+        h + 2k - 4 at the clamped cell is at most 12 steps: its time about doubles per step of
+        window, so one cell at 20 would outlast all the others.  D_n = C_n for n <= h; D_n is
+        the height-<= h count for n < h + k - 1 and one less at h + k - 1, which drops only
+        U^h (DU)^(k-1) D^h; and D_n does not decrease when h or k grows."""
+        params = ClassParams(h, k)
+        counts = brute_counts_upto(params, nmax)
+        assert rule_totals_upto(params, nmax) == counts
+        assert list(f_series(params, nmax).coeffs) == counts
+        m = min(nmax, 60)
+        cell = params.clamped(m)
+        if cell.h + 2 * cell.k - 4 <= 12:
+            assert tree_totals_upto(params, m) == counts[:m + 1]
+        assert counts[:h + 1] == catalan_upto(min(nmax, h))
+        last = h + k - 1
+        bounded = _height_bounded_upto(min(h, nmax), min(nmax, last))
+        if nmax >= last:
+            bounded[last] -= 1
+        assert counts[:last + 1] == bounded
+        for wider in (ClassParams(h + 1, k), ClassParams(h, k + 1)):
+            assert all(c <= w for c, w in zip(counts, brute_counts_upto(wider, nmax)))
