@@ -78,16 +78,22 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# Records per write of a JSON array: bounds what _emit holds, and keeps the
-# writes few when stdout is a slow or hashing sink.
+# Records per write of a JSON array, and rows per write of plain output:
+# they bound what _emit holds and keep the writes few when stdout is a slow
+# or hashing sink.  Plain blocks stay short because a row can be long:
+# `identity --h-max 1000`, whose rows reach 1.2 kB, ran 25% slower in
+# blocks of 4,096 rows than at one write a row, and 20% faster in blocks of
+# 64 to 128 (2-core Xeon, Python 3.11, stdout to /dev/null).
 JSON_BLOCK = 4096
+PLAIN_BLOCK = 128
 
 
 def _emit(fmt: str, items, record, line, json_text=None) -> None:
     """Write items in the requested form as they come, computing only that form.
 
     ``items`` is any iterable; it is read once and never held whole.
-    plain: ``line(item)`` per item; json: one array of ``record(item)``
+    plain: the text ``line(item)`` per item, one row a line, written in
+    blocks of up to PLAIN_BLOCK rows; json: one array of ``record(item)``
     dicts, written in blocks of up to JSON_BLOCK records and byte-identical
     to ``json.dumps`` of the whole list; csv: a header row of the record
     keys, then one row per item.  ``json_text(item)``, if given, is the
@@ -113,8 +119,9 @@ def _emit(fmt: str, items, record, line, json_text=None) -> None:
                 w.writerow(row)
             w.writerow(row.values())
     else:
-        for item in items:
-            print(line(item))
+        lines = map(line, items)
+        while block := list(islice(lines, PLAIN_BLOCK)):
+            sys.stdout.write("\n".join(block) + "\n")
 
 
 def _route_columns(counts: dict[str, int]) -> str:

@@ -82,7 +82,7 @@ def label_of(path: DyckPath, params: ClassParams) -> str:
     """
     if not is_in_class(path, params):
         raise NotInClass(f"{path.word!r} is not in the (h={params.h}, k={params.k}) class")
-    return _label_text(_label(path.bits, path.bits.bit_length(), params.h, params.k), params.h)
+    return _label_text(_label(path, path.bit_length(), params.h, params.k), params.h)
 
 
 def _saturated_head(h: int, k: int) -> int:
@@ -142,7 +142,7 @@ def children(path: DyckPath, params: ClassParams) -> list[DyckPath]:
     are emitted in increasing ordinate of the insertion point, so the list
     order is deterministic.
     """
-    return [DyckPath(bits) for bits in _grow([path.bits], path.bits.bit_length(), params.h, params.k)]
+    return [DyckPath(bits) for bits in _grow([path], path.bit_length(), params.h, params.k)]
 
 
 # Parents grown into one block of children: the walk, and the count while
@@ -364,10 +364,10 @@ def invert_first_peak(path: DyckPath) -> DyckPath:
     The growth's bit flip undone: turning the first D into a U gives UU
     followed by the parent, and the parent is the low 2n-2 bits.
     """
-    n2 = path.bits.bit_length()
+    n2 = path.bit_length()
     if n2 == 0:
         raise EmptyPath("the empty path has no peak to remove")
-    up = path.bits ^ 1 << n2 - 1 - _up_run(path.bits, n2)
+    up = path ^ 1 << n2 - 1 - _up_run(path, n2)
     return DyckPath(up & (1 << n2 - 2) - 1)
 
 

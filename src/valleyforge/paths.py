@@ -1,9 +1,10 @@
 """Dyck path representation, structural predicates, and Catalan numbers.
 
-A Dyck path is stored as a packed bit sequence: U = 1, D = 0, first step in
-the most significant position; the semilength is half the bit length.
-Modules pass these bit patterns; the uppercase 'U'/'D' word, with no
-separators, is the form the CLI prints and ``parse_path`` reads.  The
+A Dyck path is an int whose value packs its steps: U = 1, D = 0, first step
+in the most significant position; the semilength is half the bit length.
+So a listed path is one object, and the predicates read it as the int
+itself.  Modules pass these bit patterns; the uppercase 'U'/'D' word, with
+no separators, is the form the CLI prints and ``parse_path`` reads.  The
 predicates (height, valley runs, class membership) never render the word;
 class membership of a path of height exactly h scans its valley runs at
 h-1 with ``max_valley_run_at_height``.
@@ -19,8 +20,9 @@ from .errors import BadSymbol, NegativePrefix, UnbalancedWord
 class _Value:
     """Read-only slots, printed, compared, hashed and copied as the tuple of their values.
 
-    Each subclass lists its fields in ``__slots__`` and stores them through
-    the slots' own setters.  Equality holds only between instances of one
+    The base of :class:`ClassParams` (a path is an int instead).  Each
+    subclass lists its fields in ``__slots__`` and stores them through the
+    slots' own setters.  Equality holds only between instances of one
     class.  Pickle and ``copy`` rebuild an instance through its constructor,
     since the slots refuse to be set.
     """
@@ -50,30 +52,48 @@ class _Value:
         return type(self), self._values()
 
 
-class DyckPath(_Value):
+class DyckPath(int):
     """Immutable balanced U/D step sequence with nonnegative prefixes.
 
-    ``bits``, the one field, packs the steps (U=1, D=0, first step most
-    significant).  A nonempty path begins with U, so ``semilength`` and
-    ``word`` derive from ``bits.bit_length()``.  The constructor trusts
+    A path is an int whose value packs the steps (U=1, D=0, first step most
+    significant), so each path is one object.  ``bits`` reads the value
+    back as a plain int.  A nonempty path begins with U, so ``semilength``
+    and ``word`` derive from ``bit_length()``.  The constructor trusts
     ``bits``; use :func:`parse_path` to build a path from untrusted text.
+
+    A path equals only a path with the same bits, never a plain int, and
+    hashes as ``(bits,)``.  From ``int`` it keeps ordering by bits, the
+    arithmetic (whose results are plain ints), and falsehood of the empty
+    path.
     """
 
-    __slots__ = ("bits",)
-    semilength = property(lambda self: self.bits.bit_length() >> 1)
+    __slots__ = ()
+    bits = property(int.__int__)
+    semilength = property(lambda self: self.bit_length() >> 1)
 
-    def __init__(self, bits: int) -> None:
-        _store_bits(self, bits)  # the slot's own setter, past the read-only __setattr__
+    def __new__(cls, bits: int) -> DyckPath:
+        return int.__new__(cls, bits)
 
     @property
     def word(self) -> str:
-        return f"{self.bits:b}".translate(_WORD) if self.bits else ""
+        return f"{self:b}".translate(_WORD) if self else ""
 
     def __str__(self) -> str:
         return self.word
 
+    def __repr__(self) -> str:
+        return f"DyckPath(bits={int(self)})"
 
-_store_bits = DyckPath.bits.__set__
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and int.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return other.__class__ is not self.__class__ or int.__ne__(self, other)
+
+    def __hash__(self) -> int:
+        return hash((int(self),))
+
+
 EMPTY_PATH = DyckPath(0)
 
 # Steps as text and as binary digits.
@@ -167,7 +187,7 @@ def _top(bits: int, n2: int) -> int:
 
 def height(path: DyckPath) -> int:
     """Maximum ordinate reached by the path."""
-    return _top(path.bits, path.bits.bit_length())
+    return _top(path, path.bit_length())
 
 
 def max_valley_run_at_height(path: DyckPath, y: int) -> int:
@@ -178,7 +198,7 @@ def max_valley_run_at_height(path: DyckPath, y: int) -> int:
     Every valley of a run sits at the same height, so each maximal run is
     placed once, by a popcount of the steps before it.
     """
-    bits = path.bits
+    bits = path
     n2 = bits.bit_length()
     # Bit p is set when step p is D and the next step is U (steps numbered by
     # bit position): a (DU)^m factor is a run of m set bits at stride 2.
@@ -200,8 +220,7 @@ def is_in_class(path: DyckPath, params: ClassParams) -> bool:
     """True iff the path has height <= h and valley-run at h-1 <= k-2."""
     # A valley at h-1 is entered by a D from h, so only a path of height h can
     # hold a forbidden run: only such a path scans its valley runs at h-1.
-    bits = path.bits
-    top = _top(bits, bits.bit_length())
+    top = _top(path, path.bit_length())
     if top != params.h:
         return top < params.h
     return max_valley_run_at_height(path, params.h - 1) <= params.k - 2

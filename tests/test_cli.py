@@ -423,12 +423,13 @@ class TestEmitJson:
         cli._emit("json", items, lambda r: r, None)
         assert capsys.readouterr().out == json.dumps(items) + "\n"
 
-    def test_writes_before_the_items_run_out(self, monkeypatch):
+    def _emit_noting_writes(self, monkeypatch, fmt, record, line, block):
+        """Emit 3 blocks of items; return how many were produced at each write, and the text."""
         produced = 0
 
         def items():
             nonlocal produced
-            for i in range(3 * self.B):
+            for i in range(3 * block):
                 produced += 1
                 yield i
 
@@ -445,10 +446,22 @@ class TestEmitJson:
 
         out = Out()
         monkeypatch.setattr(sys, "stdout", out)
-        cli._emit("json", items(), lambda i: {"i": i}, None)
+        cli._emit(fmt, items(), record, line)
+        return out.produced_at, out.getvalue()
+
+    def test_writes_before_the_items_run_out(self, monkeypatch):
+        produced_at, text = self._emit_noting_writes(monkeypatch, "json", lambda i: {"i": i}, None,
+                                                     self.B)
         # one write per block, then the closing bracket
-        assert out.produced_at == [self.B, 2 * self.B, 3 * self.B, 3 * self.B]
-        assert out.getvalue() == json.dumps([{"i": i} for i in range(3 * self.B)]) + "\n"
+        assert produced_at == [self.B, 2 * self.B, 3 * self.B, 3 * self.B]
+        assert text == json.dumps([{"i": i} for i in range(3 * self.B)]) + "\n"
+
+    def test_plain_writes_before_the_items_run_out(self, monkeypatch):
+        B = cli.PLAIN_BLOCK
+        produced_at, text = self._emit_noting_writes(monkeypatch, "plain", None, lambda i: f"i={i}", B)
+        # one write per block of lines
+        assert produced_at == [B, 2 * B, 3 * B]
+        assert text == "".join(f"i={i}\n" for i in range(3 * B))
 
 
 class TestOutOfMemory:

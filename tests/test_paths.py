@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,13 +107,36 @@ class TestParse:
 
     def test_bits_is_the_only_field(self):
         """The semilength and the word are derived from the bits, never stored."""
-        assert DyckPath.__slots__ == ("bits",)
+        assert DyckPath.__slots__ == ()
+        assert type(DyckPath(12).bits) is int
         assert (DyckPath(0).word, DyckPath(0).semilength) == ("", 0)
         assert (DyckPath(0b1100).word, DyckPath(0b1100).semilength) == ("UUDD", 2)
         assert all(str(p) == p.word for p in (EMPTY_PATH, DyckPath(0b1100), DyckPath(0b110100)))
         assert repr(DyckPath(bits=0b1100)) == "DyckPath(bits=12)"
         assert DyckPath(bits=12) == DyckPath(12) != DyckPath(10)
         assert hash(DyckPath(12)) == hash(DyckPath(12)) == hash((12,))
+
+    def test_equal_only_to_paths(self):
+        """The int base leaks no equality with plain ints, in either order or in a hashed lookup."""
+        assert DyckPath(12) != 12 and 12 != DyckPath(12)
+        assert not DyckPath(12) == 12 and not 12 == DyckPath(12)
+        assert 12 not in {DyckPath(12)} and DyckPath(12) not in {12}
+        assert {DyckPath(12): "UUDD"}[DyckPath(12)] == "UUDD"
+        p = DyckPath(0b110100)
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert type(q) is DyckPath and q == p
+
+    def test_listed_paths_are_small(self):
+        """Each path enumerate_dyck lists, with its list slot, holds at most 64 bytes."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            paths = enumerate_dyck(10)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(paths) == catalan(10) == 16796
+        assert held <= 64 * len(paths), held / len(paths)
 
 
 def _parse_reference(word):

@@ -188,6 +188,20 @@ class TestSolveSeries:
         got = [s.coeffs for s in solve_series(params, 1000)]
         assert got == _back_substitution(params, 1000)
 
+    @pytest.mark.parametrize("h", range(1, 12))
+    def test_components_are_the_rule_labels(self, h):
+        """Label by label against the succession rule, whose entry i holds (i) for i <= h and
+        entry h+1+j holds (h_j): F_i[n] counts (i), F_h[n-j-1] counts (h_j), and at h = 1,
+        where the last label wraps to (0), F_1[n-k+1] counts (0), which is empty above h = 1."""
+        for k in range(2, 9):
+            params = ClassParams(h, k)
+            F = solve_series(params, 40)
+            for n, v in enumerate(_rule_steps(params, 40)):
+                zero = F[0].coefficient(n - k + 1) if h == 1 else 0
+                labels = [zero, *(s.coefficient(n) for s in F),
+                          *(F[-1].coefficient(n - j - 1) for j in range(k - 2))]
+                assert labels == v, (h, k, n)
+
     def test_negative_order_refused_before_any_column(self, monkeypatch):
         """The order is checked when the columns are asked for, not when the first is read."""
         params = ClassParams(4, 3)
