@@ -78,26 +78,25 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# Records per write of a JSON array, and rows per write of plain output:
-# they bound what _emit holds and keep the writes few when stdout is a slow
-# or hashing sink.  Plain blocks stay short because a row can be long:
-# `identity --h-max 1000`, whose rows reach 1.2 kB, ran 25% slower in
-# blocks of 4,096 rows than at one write a row, and 20% faster in blocks of
-# 64 to 128 (2-core Xeon, Python 3.11, stdout to /dev/null).
-JSON_BLOCK = 4096
-PLAIN_BLOCK = 128
+# Rows of plain output, or records of a JSON array, per write: it bounds
+# what _emit holds and keeps the writes few when stdout is a slow or hashing
+# sink.  Blocks stay short because a row can be long: `identity --h-max
+# 1000`, whose rows reach 1.2 kB, ran 25% slower in blocks of 4,096 rows
+# than at one write a row, and 20% faster in blocks of 64 to 128; in JSON
+# form it took 1.35 s in blocks of 4,096 records and 0.87 s in blocks of
+# 128 (2-core Xeon, Python 3.11, stdout to /dev/null).
+BLOCK = 128
 
 
 def _emit(fmt: str, items, record, line, json_text=None) -> None:
     """Write items in the requested form as they come, computing only that form.
 
     ``items`` is any iterable; it is read once and never held whole.
-    plain: the text ``line(item)`` per item, one row a line, written in
-    blocks of up to PLAIN_BLOCK rows; json: one array of ``record(item)``
-    dicts, written in blocks of up to JSON_BLOCK records and byte-identical
-    to ``json.dumps`` of the whole list; csv: a header row of the record
-    keys, then one row per item.  ``json_text(item)``, if given, is the
-    JSON text of ``record(item)``, written in its place.
+    plain: the text ``line(item)`` per item, one row a line; json: one array
+    of ``record(item)`` dicts, byte-identical to ``json.dumps`` of the whole
+    list; both are written in blocks of up to BLOCK items.  csv: a header
+    row of the record keys, then one row per item.  ``json_text(item)``, if
+    given, is the JSON text of ``record(item)``, written in its place.
     """
     if fmt == "json":
         if json_text is None:
@@ -105,7 +104,7 @@ def _emit(fmt: str, items, record, line, json_text=None) -> None:
         else:
             rows, join = map(json_text, items), ", ".join
         sep = "["
-        while block := list(islice(rows, JSON_BLOCK)):
+        while block := list(islice(rows, BLOCK)):
             sys.stdout.write(sep + join(block))
             sep = ", "
         sys.stdout.write("[]\n" if sep == "[" else "]\n")
@@ -120,7 +119,7 @@ def _emit(fmt: str, items, record, line, json_text=None) -> None:
             w.writerow(row.values())
     else:
         lines = map(line, items)
-        while block := list(islice(lines, PLAIN_BLOCK)):
+        while block := list(islice(lines, BLOCK)):
             sys.stdout.write("\n".join(block) + "\n")
 
 
@@ -189,8 +188,7 @@ def _cmd_series(args) -> int:
         raise ValleyforgeError("--show-components has no csv form; use --format plain or json")
     params = ClassParams(args.h, args.k)
     if args.show_components:
-        F = series.solve_series(params, args.order)
-        fs = series.counting_series(params, F)
+        fs, F = series.components(params, args.order)
         denominator = [str(c) for c in series.build_S(args.h, args.k)]
     else:
         fs = series.f_series(params, args.order)

@@ -8,9 +8,9 @@ order by order over the integers, and expands the single-variable
 generating function whose n-th coefficient counts the class paths of
 semilength n.  No entry of the system has degree above k-1, so the solve is
 a linear recurrence of order k-1 on coefficient vectors: the solver keeps
-only the last k-1 columns, and the counting series (``f_series``) takes
-O(h*k) working memory besides its own coefficients.  Each F_i is N_i / S,
-proved by exact substitution, and f = P / S, P = ``counting_numerator``.
+only the last k-1 columns, so ``f_series`` takes O(h*k) working memory
+besides its coefficients and ``components`` O(order) more.  Each F_i is
+N_i / S, proved by exact substitution; f = P / S, P = ``counting_numerator``.
 
 A polynomial is a plain list of integer coefficients, constant term first,
 as in ``paths`` and ``identity`` and in the JSON form; the lists built here
@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from math import comb
+from operator import add, sub
 
 from .paths import ClassParams, height_denominator
 
@@ -150,9 +151,31 @@ def _solve(plan, h: int, depth: int, order: int) -> Iterator[list[int]]:
         yield vec
 
 
+def components(params: ClassParams, order: int) -> tuple[TruncatedSeries, Iterator[TruncatedSeries]]:
+    """The counting series, and F_1..F_h made as they are read, from one back substitution.
+
+    The solve keeps F_1, F_2 and F_h; band row ``build_system(params)[r]``, 1 <= r <= h-3, gives
+    F_{r+2}[n] = F_{r+1}[n] - F_r[n-1], plus F_h[n-k+1] at r = h-3, the wrap -x^{k-1} F_h.
+    """
+    h = params.h
+    held = {j: [] for j in (0, min(1, h - 1), h - 1)}  # component index -> coefficients
+    def sweep(rows):
+        for i in range(h):
+            if i not in held:  # minus row i-1's other entries, each 0 or +-1, times their series
+                held[i] = new = [0] * (order + 1)
+                for j, a in rows[i - 1].items():
+                    for m, c in enumerate(a):
+                        if c and j != i:
+                            new[m:] = map(sub if c == 1 else add, new[m:], held[j])
+            held.pop(i - 2, None)  # F_{i-1}: rows past i-1 never read it
+            yield TruncatedSeries(held[i])
+
+    return _counts(params, _columns(params, order), held.items()), sweep(build_system(params))
+
+
 def solve_series(params: ClassParams, order: int) -> list[TruncatedSeries]:
     """Unique power-series solution F_1..F_h of the system, to the given order."""
-    return [TruncatedSeries(row) for row in zip(*_columns(params, order))]
+    return list(components(params, order)[1])
 
 
 def _row_times(row: dict[int, list[int]], vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -204,7 +227,7 @@ def closed_form_residuals(params: ClassParams) -> list[list[int]]:
     return [_row_times(row, N) for row in rows]
 
 
-def _counts(params: ClassParams, columns: Iterable[Sequence[int]]) -> TruncatedSeries:
+def _counts(params: ClassParams, columns: Iterable[Sequence[int]], keep=()) -> TruncatedSeries:
     """Counting series from the component columns, read as they come.
 
     f = F_1 + ... + F_h + (x + x^2 + ... + x^top) F_h, the labels (h_j)
@@ -217,12 +240,9 @@ def _counts(params: ClassParams, columns: Iterable[Sequence[int]]) -> TruncatedS
     for col in columns:
         coeffs.append(sum(col) + sum(last))
         last.append(col[-1])
+        for j, kept in keep:  # (j, list) pairs: entry j of each column is kept
+            kept.append(col[j])
     return TruncatedSeries(coeffs)
-
-
-def counting_series(params: ClassParams, F: list[TruncatedSeries]) -> TruncatedSeries:
-    """Counting series of the class from its solved components F_1..F_h."""
-    return _counts(params, zip(*(s.coeffs for s in F)))
 
 
 def f_series(params: ClassParams, order: int) -> TruncatedSeries:

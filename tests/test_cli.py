@@ -127,13 +127,14 @@ class TestGenerate:
         assert records[0] == {"word": "UDUD", "height": 1, "label": "(2)"}
         assert Counter(r["label"] for r in records) == eco.rule_counts(ClassParams(4, 3), 2)
 
-    @pytest.mark.parametrize("block", [cli.JSON_BLOCK, 3])
+    @pytest.mark.parametrize("block", [4096, 3])
     @pytest.mark.parametrize("h, k", [(h, k) for h in range(1, 7) for k in range(2, 6)])
     def test_json_rows_are_dumps_of_the_records(self, capsys, monkeypatch, h, k, block):
         """Each row, written from a template, is json.dumps of its dict record,
-        byte for byte; at a block of 3 the listings cross block ends.  At
-        h = 1, k = 2 the listings past n = 1 are empty: ``[]``."""
-        monkeypatch.setattr(cli, "JSON_BLOCK", block)
+        byte for byte; at a block of 4,096 each listing is one block, at a
+        block of 3 the listings cross block ends.  At h = 1, k = 2 the
+        listings past n = 1 are empty: ``[]``."""
+        monkeypatch.setattr(cli, "BLOCK", block)
         params = ClassParams(h, k)
         for n in range(8):
             records = [{"word": p.word, "height": height(p), "label": eco.label_of(p, params)}
@@ -161,14 +162,31 @@ class TestSeries:
         assert out.strip() == "1 1 2 5 14 42"
 
     def test_streamed_components_json_is_the_whole_object(self, capsys):
+        """The coefficients come from f_series, an independent solve at the clamped
+        cell (61, 5), whose counts to n = 60 are the same."""
         params = ClassParams(64, 5)
         F = series.solve_series(params, 60)
-        whole = {"h": 64, "k": 5, "coefficients": series.counting_series(params, F).to_json(),
+        whole = {"h": 64, "k": 5, "coefficients": series.f_series(params, 60).to_json(),
                  "components": [s.to_json() for s in F],
                  "denominator": [str(c) for c in series.build_S(64, 5)]}
         code, out, _ = run(capsys, "series", "--h", "64", "--k", "5", "--order", "60",
                            "--show-components", "--format", "json")
         assert (code, out) == (0, json.dumps(whole) + "\n")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_components_solve_once(self, capsys, monkeypatch, fmt):
+        """The counts and every component come from one back substitution."""
+        calls = []
+        columns = series._columns
+
+        def counted(params, order):
+            calls.append((params, order))
+            return columns(params, order)
+
+        monkeypatch.setattr(series, "_columns", counted)
+        code, _, _ = run(capsys, "series", "--h", "9", "--k", "4", "--order", "12",
+                         "--show-components", "--format", fmt)
+        assert (code, calls) == (0, [(ClassParams(9, 4), 12)])
 
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     def test_denominator_built_only_for_components(self, capsys, monkeypatch, fmt):
@@ -415,9 +433,9 @@ class TestVerifyJobs:
 
 
 class TestEmitJson:
-    B = cli.JSON_BLOCK
+    B = cli.BLOCK
 
-    @pytest.mark.parametrize("n", [0, 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("n", [0, 1, 32 * B, 32 * B + 1, 64 * B + 1])
     def test_bytes_of_one_dumps(self, capsys, n):
         items = [{"i": i, "word": "UD" * (i % 3)} for i in range(n)]
         cli._emit("json", items, lambda r: r, None)
@@ -457,7 +475,7 @@ class TestEmitJson:
         assert text == json.dumps([{"i": i} for i in range(3 * self.B)]) + "\n"
 
     def test_plain_writes_before_the_items_run_out(self, monkeypatch):
-        B = cli.PLAIN_BLOCK
+        B = cli.BLOCK
         produced_at, text = self._emit_noting_writes(monkeypatch, "plain", None, lambda i: f"i={i}", B)
         # one write per block of lines
         assert produced_at == [B, 2 * B, 3 * B]
@@ -698,6 +716,14 @@ def test_eco_count_peak_rss():
 def test_series_count_peak_rss():
     """The series route keeps the last k-1 columns of its 1000 x 1001 coefficients, never all."""
     assert _child_peak_rss_mib(["count", "--h", "1000", "--k", "3", "--n", "1000", "--method", "series"]) < 40
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc, on Linux only")
+def test_series_components_peak_rss():
+    """--show-components holds F_1, F_2 and F_h and makes the others as they are written:
+    about 24 MiB, and 58 MiB when all 64 x 2001 component coefficients are held."""
+    argv = ["series", "--h", "64", "--k", "5", "--order", "2000", "--show-components", "--format", "json"]
+    assert _child_peak_rss_mib(argv) < 40
 
 
 # Small-size commands whose stdout is pinned byte for byte in every format.

@@ -206,7 +206,7 @@ class TestSolveSeries:
         """The order is checked when the columns are asked for, not when the first is read."""
         params = ClassParams(4, 3)
         monkeypatch.setattr(series, "build_system", None)  # never reached
-        for solve in (series._columns, solve_series, f_series):
+        for solve in (series._columns, series.components, solve_series, f_series):
             with pytest.raises(ValueError, match="order must be >= 0"):
                 solve(params, -1)
 
